@@ -27,7 +27,6 @@ from .ldg import (
     field_to_csv,
     project_initial,
     run,
-    step,
 )
 from .mesh import (
     Basis,
@@ -117,6 +116,5 @@ __all__ = [
     "run",
     "spatial_study",
     "stability_probe",
-    "step",
     "temporal_study",
 ]

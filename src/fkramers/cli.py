@@ -9,6 +9,7 @@ fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -153,12 +154,12 @@ def _validate(config):
         raise ConfigError("N must be a positive integer, got %r" % (config.n,))
     if config.k < 1:
         raise ConfigError("element degree k must be >= 1, got %r" % (config.k,))
-    if config.tau is not None and not config.tau > 0.0:
-        raise ConfigError("tau must be positive, got %r" % (config.tau,))
-    if config.t_final < 0.0:
-        raise ConfigError("T must be nonnegative, got %r" % (config.t_final,))
-    if not config.theta > 0.0:
-        raise ConfigError("theta must be positive, got %r" % (config.theta,))
+    if config.tau is not None and not (math.isfinite(config.tau) and config.tau > 0.0):
+        raise ConfigError("tau must be positive and finite, got %r" % (config.tau,))
+    if not (math.isfinite(config.t_final) and config.t_final >= 0.0):
+        raise ConfigError("T must be nonnegative and finite, got %r" % (config.t_final,))
+    if not (math.isfinite(config.theta) and config.theta > 0.0):
+        raise ConfigError("theta must be positive and finite, got %r" % (config.theta,))
     if config.steps < 0:
         raise ConfigError("steps must be nonnegative, got %r" % (config.steps,))
     if config.trials < 1:

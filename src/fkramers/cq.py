@@ -43,8 +43,8 @@ def cq_weights(alpha, tau, steps):
     if not 0.0 < alpha <= 1.0:
         raise OrderOutOfRange("fractional order must lie in (0, 1], got %r" % (alpha,))
     tau = float(tau)
-    if not tau > 0.0:
-        raise PreconditionError("time step must be positive, got %r" % (tau,))
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise PreconditionError("time step must be positive and finite, got %r" % (tau,))
     if not isinstance(steps, Integral) or steps < 0:
         raise PreconditionError("step count must be a nonnegative integer, got %r" % (steps,))
     steps = int(steps)
@@ -56,7 +56,11 @@ def cq_weights(alpha, tau, steps):
 
 
 def history_combination(weights, past, g0, n):
-    """History contribution to the right-hand side of time step n.
+    """History contribution to the right-hand side of time step n, summed directly.
+
+    This is the O(n) reference for one step; the stepping loop
+    (`fkramers.ldg.march`) computes the same sum by blocked FFT convolution,
+    and tests compare the two.
 
     `past` holds the solutions g^1 .. g^{n-1} (empty for n = 1); g0 is the
     initial state.  Returns

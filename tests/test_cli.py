@@ -140,6 +140,12 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and "alpha" in err
 
+    @pytest.mark.parametrize("flag", ["--tau", "--theta", "--T"])
+    def test_nonfinite_float_exit_two(self, capsys, flag):
+        assert main(["solve", "--N", "2", flag, "inf"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "finite" in err
+
     def test_solver_failure_exit_three(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise SolverFailure("synthetic breakdown")

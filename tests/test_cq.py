@@ -36,7 +36,7 @@ class TestWeights:
         with pytest.raises(OrderOutOfRange):
             cq_weights(alpha, 0.1, 10)
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
     def test_nonpositive_step_rejected(self, tau):
         with pytest.raises(PreconditionError):
             cq_weights(0.5, tau, 10)
