@@ -1,10 +1,25 @@
 """Command-line interface: parsing, config files, exit codes, output formats."""
 
+import os
+
 import pytest
 
 from fkramers import ConfigError, SolverFailure
 from fkramers.cli import RunConfig, main, parse, render
 from fkramers.study import DEFAULT_INV_TAUS, DEFAULT_RESOLUTIONS
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+#: golden file stem -> command line whose output it holds
+GOLDEN_CASES = {
+    "solve_ex2_N4_k1": "solve --problem ex2 --N 4 --k 1 --tau 0.25",
+    "solve_ex1c_N4_k2": "solve --problem ex1c --N 4 --k 2 --tau 0.125",
+    "study_time_ex1b": "study-time --problem ex1b --N 4 --tau-list 4,8",
+    "study_space_k1": "study-space --k 1 --tau 0.25 --N-list 2,4",
+    "stability": "stability --N 2 --tau 0.25 --trials 3 --seed 3",
+    "regularity": "regularity --N 4 --tau 0.0625",
+    "cq_weights": "cq-weights --steps 6",
+}
 
 
 class TestParse:
@@ -225,6 +240,15 @@ class TestMain:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_output_matches_golden_bytes(self, name, tmp_path):
+        path = tmp_path / (name + ".csv")
+        assert main(GOLDEN_CASES[name].split() + ["--out", str(path)]) == 0
+        with open(os.path.join(GOLDEN_DIR, name + ".csv"), "rb") as handle:
+            assert path.read_bytes() == handle.read()
 
 
 class TestRunConfig:
