@@ -164,6 +164,8 @@ def _validate(config):
         raise ConfigError("steps must be nonnegative, got %r" % (config.steps,))
     if config.trials < 1:
         raise ConfigError("trials must be positive, got %r" % (config.trials,))
+    if config.seed < 0:
+        raise ConfigError("seed must be nonnegative, got %r" % (config.seed,))
     if config.fmt not in ("csv", "markdown"):
         raise ConfigError("format must be csv or markdown, got %r" % (config.fmt,))
     if config.problem not in PROBLEM_IDS:

@@ -13,14 +13,15 @@ for every time step.
 
 The per-cell coefficient layout is (x-cell i, v-cell j, x-mode a, v-mode b).
 Internally vectors are raveled in the order (i, a, j, b) so every global
-operator is a Kronecker product of small 1D operators.
+operator is a Kronecker product of small 1D operators.  The spatial operator
+has the two-factor form G (x) V + I (x) B: G is the upwind x-gradient, V the
+velocity weight, and B gathers v-transport, diffusion, penalty and the shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,13 +73,13 @@ def as_vector(coeffs):
 
 
 def as_coeffs(vec, n, nmodes):
-    """Inverse of :func:`as_vector`."""
-    return np.ascontiguousarray(vec.reshape(n, nmodes, n, nmodes).transpose(0, 2, 1, 3))
+    """Inverse of :func:`as_vector`; a view of `vec`, not a copy."""
+    return vec.reshape(n, nmodes, n, nmodes).transpose(0, 2, 1, 3)
 
 
-def _reference_blocks(basis, q):
+def _reference_blocks(basis):
     """Small dense matrices on the reference interval used by all operators."""
-    rule = gauss_rule(q)
+    rule = gauss_rule(basis.degree + 2)
     tab = basis.eval_table(rule.nodes)
     dtab = basis.deriv_table(rule.nodes)
     der = (tab * rule.weights) @ dtab.T        # der[c, a] = int phi_c phi_a'
@@ -92,10 +93,10 @@ def _shift(n, offset):
     return sp.diags(np.ones(n - abs(offset)), offset, shape=(n, n))
 
 
-def _one_d_operators(mesh, basis, q):
+def _one_d_operators(mesh, basis):
     """The five 1D operators whose Kronecker products build the scheme."""
     n, h, m = mesh.n, mesh.h, basis.nmodes
-    der, jmat, el, er = _reference_blocks(basis, q)
+    der, jmat, el, er = _reference_blocks(basis)
     eye_cells = sp.identity(n)
     first = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
     tail = sp.diags(np.r_[0.0, np.ones(n - 1)])  # cells with an interior lower face
@@ -126,59 +127,43 @@ def _positive_finite(value, name):
     return value
 
 
-def assemble_gradient(mesh, basis, q=None):
+def assemble_gradient(mesh, basis):
     """Sparse discrete-gradient operators (d_x, d_v).
 
     Applied to a raveled coefficient vector they yield the modal coefficients
     of the auxiliary gradient components (the element mass matrix is the
     identity, so no extra solve is needed).
     """
-    if q is None:
-        q = basis.degree + 2
-    grad_x, grad_v, _, _, _ = _one_d_operators(mesh, basis, q)
+    grad_x, grad_v, _, _, _ = _one_d_operators(mesh, basis)
     block = mesh.n * basis.nmodes
     d_x = sp.kron(grad_x, sp.identity(block)).tocsr()
     d_v = sp.kron(sp.identity(block), grad_v).tocsr()
     return d_x, d_v
 
 
-def assemble_spatial(mesh, basis, theta, q=None):
+def assemble_spatial(mesh, basis, theta):
     """Sparse spatial operator acting on the primary unknown.
 
     Composes transport in x, transport and diffusion in v, the boundary
     penalty along v = 0 scaled by theta, and the negative unit zeroth-order
-    shift coming from rewriting the drift divergence.
+    shift coming from rewriting the drift divergence, as
+    grad_x (x) vmass + I (x) ((div_v - vmass) grad_v + theta penalty - I).
     """
     theta = _positive_finite(theta, "penalty parameter")
-    if q is None:
-        q = basis.degree + 2
-    grad_x, grad_v, div_v, vmass, penalty = _one_d_operators(mesh, basis, q)
-    block = mesh.n * basis.nmodes
-    eye_block = sp.identity(block)
-    d_x = sp.kron(grad_x, eye_block)
-    d_v = sp.kron(eye_block, grad_v)
-    t_v = sp.kron(eye_block, div_v)
-    w = sp.kron(eye_block, vmass)
-    pen = sp.kron(eye_block, penalty)
-    ndof = block * block
-    l_h = w @ (d_x - d_v) + t_v @ d_v + theta * pen - sp.identity(ndof)
-    return l_h.tocsr()
+    grad_x, grad_v, div_v, vmass, penalty = _one_d_operators(mesh, basis)
+    eye_block = sp.identity(mesh.n * basis.nmodes)
+    v_block = (div_v - vmass) @ grad_v + theta * penalty - eye_block
+    return (sp.kron(grad_x, vmass) + sp.kron(eye_block, v_block)).tocsr()
 
 
 @dataclass(eq=False)
 class LDGSystem:
     """Assembled and factorized time-step system; immutable after construction.
 
-    The matrix is d0 * mass + spatial and does not change between steps, so
+    The matrix is d0 * I + spatial and does not change between steps, so
     the sparse LU factorization is computed once and shared.
     """
 
-    mesh: Mesh2D
-    basis: Basis
-    theta: float
-    d0: float
-    mass: sp.csr_matrix
-    spatial: sp.csr_matrix
     matrix: sp.csr_matrix
     lu: object = field(repr=False)
 
@@ -192,40 +177,37 @@ class LDGSystem:
         return x
 
 
-def assemble_system(spatial, mass, d0, *, mesh=None, basis=None, theta=float("nan")):
-    """Factorize d0 * mass + spatial once for reuse across all time steps."""
+def assemble_system(spatial, d0):
+    """Factorize d0 * I + spatial once for reuse across all time steps."""
     d0 = float(d0)
     if not d0 > 0.0:
         raise PreconditionError("leading weight d0 must be positive, got %r" % (d0,))
-    matrix = (d0 * mass + spatial).tocsr()
+    matrix = (d0 * sp.identity(spatial.shape[0]) + spatial).tocsr()
     try:
         lu = spla.splu(matrix.tocsc())
     except RuntimeError as exc:
         raise SolverFailure("sparse factorization failed: %s" % (exc,)) from exc
-    return LDGSystem(
-        mesh=mesh, basis=basis, theta=theta, d0=d0, mass=mass.tocsr(),
-        spatial=spatial.tocsr(), matrix=matrix, lu=lu,
-    )
+    return LDGSystem(matrix=matrix, lu=lu)
 
 
-def build_system(mesh, basis, d0, theta, q=None):
+def build_system(mesh, basis, d0, theta):
     """Assemble the spatial operator and factorize the step matrix."""
-    spatial = assemble_spatial(mesh, basis, theta, q=q)
-    mass = sp.identity(spatial.shape[0], format="csr")
-    return assemble_system(spatial, mass, d0, mesh=mesh, basis=basis, theta=float(theta))
+    return assemble_system(assemble_spatial(mesh, basis, theta), d0)
 
 
-def project_initial(g0, mesh, basis, q=None, discontinuities=()):
+def project_initial(g0, mesh, basis, discontinuities=()):
     """Cell-wise L2 projection of the initial data onto the discrete space."""
     require_mesh_aligned(discontinuities, mesh)
-    if q is None:
-        q = basis.degree + 2
-    return DGField(mesh, basis, modal_project(g0, mesh, basis, q))
+    return DGField(mesh, basis, modal_project(g0, mesh, basis, basis.degree + 2))
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """All time levels of one run; `fields[n]` is the state at t = n * tau."""
+    """All time levels of one run; `fields[n]` is the state at t = n * tau.
+
+    The coefficients of every field view one row of the single array of
+    levels that `march` returned; a T = 0 run holds only the projection.
+    """
 
     problem: object
     mesh: Mesh2D
@@ -337,10 +319,7 @@ def run(problem, n, k, tau, theta=1.0):
             return as_vector(load_vector(problem, times[n_], mesh, basis))
 
     levels = march(system, weights, as_vector(g0_field.coeffs), load_fn, steps)
-    fields = [g0_field] + [
-        DGField(mesh, basis, as_coeffs(levels[i], mesh.n, basis.nmodes))
-        for i in range(1, steps + 1)
-    ]
+    fields = [DGField(mesh, basis, as_coeffs(level, mesh.n, basis.nmodes)) for level in levels]
     return Trajectory(
         problem=problem, mesh=mesh, basis=basis, tau=tau, theta=theta,
         times=times, fields=fields, system=system,

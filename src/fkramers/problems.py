@@ -149,7 +149,7 @@ def require_mesh_aligned(lines, mesh):
             raise MisalignedDiscontinuity(coord, mesh.n)
 
 
-def load_vector(problem, t, mesh, basis, q=None):
+def load_vector(problem, t, mesh, basis):
     """Modal load of the source at time t, axes (x-cell, v-cell, x-mode, v-mode).
 
     The source is sampled at the time-step point itself; no time averaging.
@@ -158,6 +158,4 @@ def load_vector(problem, t, mesh, basis, q=None):
     shape = (mesh.n, mesh.n, basis.nmodes, basis.nmodes)
     if problem.f is None:
         return np.zeros(shape)
-    if q is None:
-        q = basis.degree + 2
-    return modal_project(lambda x, v: problem.f(x, v, t), mesh, basis, q)
+    return modal_project(lambda x, v: problem.f(x, v, t), mesh, basis, basis.degree + 2)

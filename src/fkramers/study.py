@@ -17,8 +17,10 @@ import numpy as np
 
 from .cq import cq_weights
 from .errors import MeshMismatch, PreconditionError
-from .ldg import DGField, as_vector, build_system, march, run
-from .mesh import gauss_rule, legendre_table, modal_evaluate
+from .ldg import (
+    DGField, _integral_steps, _positive_finite, as_vector, build_system, march, run,
+)
+from .mesh import Basis, build_mesh, gauss_rule, legendre_table, modal_evaluate
 
 DEFAULT_RESOLUTIONS = (4, 8, 12, 16, 20)
 DEFAULT_INV_TAUS = (10, 20, 40, 80, 160)
@@ -246,13 +248,17 @@ def stability_probe(alpha, n=8, k=1, tau=0.02, trials=10, theta=1.0, seed=0, t_f
     A value comfortably below the frozen bound demonstrates the unconditional
     stability of the implicit scheme.
     """
-    from .mesh import Basis, build_mesh  # local import to keep module load light
-
     mesh = build_mesh(n)
     basis = Basis(k)
-    steps = round(t_final / tau)
-    if abs(steps * tau - t_final) > 1e-9 * max(t_final, tau) or steps < 1:
-        raise PreconditionError("t_final must be an integral multiple of tau")
+    tau = _positive_finite(tau, "time step")
+    steps = _integral_steps(t_final, tau)
+    if steps < 1:
+        raise PreconditionError(
+            "the stability probe needs at least one step, got final time %r with step %r"
+            % (t_final, tau)
+        )
+    if trials < 1:
+        raise PreconditionError("the stability probe needs at least one trial, got %r" % (trials,))
     weights = cq_weights(alpha, tau, steps)
     system = build_system(mesh, basis, weights.d[0], theta)
     ndof = (mesh.n * basis.nmodes) ** 2

@@ -1,6 +1,6 @@
 """Command-line interface: parsing, config files, exit codes, output formats."""
 
-import os
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +8,7 @@ from fkramers import ConfigError, SolverFailure
 from fkramers.cli import RunConfig, main, parse, render
 from fkramers.study import DEFAULT_INV_TAUS, DEFAULT_RESOLUTIONS
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_DIR = Path(__file__).with_name("golden")
 
 #: golden file stem -> command line whose output it holds
 GOLDEN_CASES = {
@@ -82,6 +82,8 @@ class TestParse:
             parse(["solve", "--theta", "0"])
         with pytest.raises(ConfigError):
             parse(["study-space", "--N-list", "0,4"])
+        with pytest.raises(ConfigError, match="seed"):
+            parse(["stability", "--seed", "-1"])
 
 
 class TestConfigFile:
@@ -247,8 +249,7 @@ class TestGoldenOutput:
     def test_output_matches_golden_bytes(self, name, tmp_path):
         path = tmp_path / (name + ".csv")
         assert main(GOLDEN_CASES[name].split() + ["--out", str(path)]) == 0
-        with open(os.path.join(GOLDEN_DIR, name + ".csv"), "rb") as handle:
-            assert path.read_bytes() == handle.read()
+        assert path.read_bytes() == (GOLDEN_DIR / (name + ".csv")).read_bytes()
 
 
 class TestRunConfig:

@@ -11,6 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fkramers import (
     Basis,
@@ -34,7 +37,7 @@ from fkramers import (
     project_initial,
     run,
 )
-from fkramers.ldg import as_coeffs, as_vector, march
+from fkramers.ldg import _one_d_operators, as_coeffs, as_vector, march
 
 SQ3 = math.sqrt(3.0)
 
@@ -103,6 +106,35 @@ class TestPenalty:
             assemble_spatial(build_mesh(2), Basis(1), theta)
 
 
+def five_kron_spatial(mesh, basis, theta):
+    """The spatial operator composed from five ndof-sized Kronecker products."""
+    grad_x, grad_v, div_v, vmass, penalty = _one_d_operators(mesh, basis)
+    eye_block = sp.identity(mesh.n * basis.nmodes)
+    d_x = sp.kron(grad_x, eye_block)
+    d_v = sp.kron(eye_block, grad_v)
+    t_v = sp.kron(eye_block, div_v)
+    w = sp.kron(eye_block, vmass)
+    pen = sp.kron(eye_block, penalty)
+    eye = sp.identity(d_x.shape[0])
+    return (w @ (d_x - d_v) + t_v @ d_v + theta * pen - eye).tocsr()
+
+
+class TestSpatialAssembly:
+    @pytest.mark.parametrize("theta", [1.0, 2.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    def test_matches_five_kron_composition(self, n, k, theta):
+        # the two-factor form G (x) V + I (x) B is the mixed-product rewrite
+        # of w (d_x - d_v) + t_v d_v + theta pen - I
+        mesh = build_mesh(n)
+        basis = Basis(k)
+        got = assemble_spatial(mesh, basis, theta)
+        ref = five_kron_spatial(mesh, basis, theta)
+        assert got.nnz == ref.nnz
+        scale = abs(ref).max()
+        assert abs(got - ref).max() <= 1e-14 * scale
+
+
 class TestSystem:
     def test_march_matches_dense_convolution_solve(self):
         # independent reference: dense solves with the convolution history
@@ -159,10 +191,9 @@ class TestSystem:
 
     def test_nonpositive_leading_weight_rejected(self):
         spatial = assemble_spatial(build_mesh(2), Basis(1), 1.0)
-        mass = sp.identity(spatial.shape[0], format="csr")
         for d0 in (0.0, -2.0):
             with pytest.raises(PreconditionError):
-                assemble_system(spatial, mass, d0)
+                assemble_system(spatial, d0)
 
 
 def reference_march(system, weights, g0_vec, load_fn, steps):
@@ -280,6 +311,18 @@ class TestRun:
         assert traj.final.coeffs.shape == (2, 2, 2, 2)
         assert traj.tau == 0.25 and traj.theta == 1.0
 
+    def test_peak_memory_close_to_levels(self):
+        # every field views a row of the array march returns, so the levels
+        # are stored once
+        steps = 2000
+        tracemalloc.start()
+        try:
+            run(get_problem("ex1b", 0.5), 16, 1, 1.0 / steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (steps + 1) * (16 * 16 * 4) * 8
+
     def test_run_agrees_with_manual_steps(self):
         # drive the direct-sum reference loop with the same loads and compare
         # every level
@@ -299,12 +342,19 @@ class TestRun:
             assert np.max(np.abs(levels[m] - got)) <= 1e-12
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestFieldHelpers:
-    def test_vector_round_trip(self):
-        rng = np.random.default_rng(3)
-        coeffs = rng.standard_normal((3, 3, 2, 2))
-        back = as_coeffs(as_vector(coeffs), 3, 2)
-        assert np.array_equal(back, coeffs)
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 4))
+    def test_vector_round_trip(self, data, n, nmodes):
+        vec = data.draw(arrays(np.float64, (n * nmodes) ** 2, elements=finite))
+        coeffs = data.draw(arrays(np.float64, (n, n, nmodes, nmodes), elements=finite))
+        view = as_coeffs(vec, n, nmodes)
+        assert np.shares_memory(view, vec)
+        assert np.array_equal(as_vector(view), vec)
+        assert np.array_equal(as_coeffs(as_vector(coeffs), n, nmodes), coeffs)
 
     def test_shape_validation(self):
         with pytest.raises(PreconditionError):

@@ -208,9 +208,17 @@ class TestStability:
         assert a == b
         assert 0.0 < a <= 5.0
 
-    def test_non_integral_horizon_rejected(self):
-        with pytest.raises(PreconditionError):
-            stability_probe(0.5, n=2, k=1, tau=0.3, trials=1)
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tau": 0.3}, "integral multiple"),
+        ({"tau": math.nan}, "time step must be positive and finite"),
+        ({"t_final": math.inf}, "final time must be finite"),
+        ({"t_final": 0.0}, "at least one step"),
+        ({"trials": 0}, "at least one trial"),
+    ], ids=["non_integral", "nan_step", "inf_horizon", "zero_horizon", "zero_trials"])
+    def test_non_integral_horizon_rejected(self, kwargs, match):
+        args = {"n": 2, "k": 1, "tau": 0.25, "trials": 1, **kwargs}
+        with pytest.raises(PreconditionError, match=match):
+            stability_probe(0.5, **args)
 
 
 class TestRegularity:
