@@ -291,7 +291,7 @@ def _dispatch(config):
                              config.tau, config.steps)
         lines = ["j,d_j,partial_sum"]
         for j in range(weights.steps + 1):
-            lines.append("%d,%.3E,%.3E" % (j, weights.d[j], weights.partial_sums[j]))
+            lines.append("%d,%.3E,%.3E" % (j, weights.d[j] + 0.0, weights.partial_sums[j] + 0.0))
         _emit(config, "\n".join(lines) + "\n")
         return
 

@@ -327,7 +327,10 @@ def run(problem, n, k, tau, theta=1.0):
 
 
 def field_to_csv(fld):
-    """CSV dump of a field: one row per coefficient, cells 1-based."""
+    """CSV dump of a field: one row per coefficient, cells 1-based.
+
+    Adding 0.0 prints an exact zero as 0.000E+00 whatever its sign bit.
+    """
     lines = ["i,j,mode_a,mode_b,coefficient"]
     n, m = fld.mesh.n, fld.basis.nmodes
     for i in range(n):
@@ -335,6 +338,6 @@ def field_to_csv(fld):
             for a in range(m):
                 for b in range(m):
                     lines.append(
-                        "%d,%d,%d,%d,%.3E" % (i + 1, j + 1, a, b, fld.coeffs[i, j, a, b])
+                        "%d,%d,%d,%d,%.3E" % (i + 1, j + 1, a, b, fld.coeffs[i, j, a, b] + 0.0)
                     )
     return "\n".join(lines) + "\n"

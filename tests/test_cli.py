@@ -200,6 +200,14 @@ class TestMain:
             "3,-6.250E-02,3.125E-01",
         ]
 
+    def test_cq_weights_print_no_negative_zero(self, capsys):
+        # at alpha = 1 the recurrence d_j = d_{j-1} (j - 1 - alpha) / j
+        # reaches -0.0 exactly
+        assert main(["cq-weights", "--alpha", "1", "--steps", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "-0.000E+00" not in out
+        assert "2,0.000E+00,0.000E+00" in out
+
     def test_stability_output_and_determinism(self, capsys, tmp_path):
         argv = ["stability", "--N", "2", "--tau", "0.25", "--trials", "2",
                 "--seed", "3", "--alpha", "0.5"]
