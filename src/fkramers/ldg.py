@@ -7,19 +7,23 @@ values at v = 0 and v = 1.  The diffusion flux takes the trace from below,
 plus a penalty term theta/h acting on the solution trace along v = 0.
 
 Because the basis is orthonormal per cell, element mass matrices are the
-identity; the auxiliary variables are eliminated element-locally and a single
-sparse system in the primary unknown is factorized once per run and reused
-for every time step.
+identity, and the auxiliary variables are eliminated element-locally.
 
 The per-cell coefficient layout is (x-cell i, v-cell j, x-mode a, v-mode b).
 Internally vectors are raveled in the order (i, a, j, b) so every global
 operator is a Kronecker product of small 1D operators.  The spatial operator
 has the two-factor form G (x) V + I (x) B: G is the upwind x-gradient, V the
 velocity weight, and B gathers v-transport, diffusion, penalty and the shift.
+
+G is block lower bidiagonal over the x-cells with equal diagonal blocks, so
+each time step is solved exactly by an x-upwind block sweep (Reed & Hill,
+1973): one sparse LU of a single x-cell block, computed once per run, then
+forward substitution cell by cell in the flow direction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -158,17 +162,26 @@ def assemble_spatial(mesh, basis, theta):
 
 @dataclass(eq=False)
 class LDGSystem:
-    """Assembled and factorized time-step system; immutable after construction.
+    """The time-step system d0 * I + spatial and its x-upwind block sweep.
 
-    The matrix is d0 * I + spatial and does not change between steps, so
-    the sparse LU factorization is computed once and shared.
+    In the (i, a, J) ordering, with J = (j, b) running over nv = N * m
+    v-indices, the step matrix is kron(I_N, A) + kron(S, E): A is the x-cell
+    block, S the sub-diagonal shift and E = -K kron(er^T, I_nv) the coupling
+    to the upwind cell, where K = (2/h) kron(el, V).  Hence the cells are
+    solved in the flow direction by u_i = y_i + lift tau_{i-1}, with
+    y_i = A^{-1} r_i and lift = A^{-1} K, and the right traces
+    tau_i = kron(er^T, I_nv) u_i obey tau_i = c_i + transfer tau_{i-1}, where
+    c_i is the trace of y_i.  Immutable after construction.
     """
 
-    matrix: sp.csr_matrix
-    lu: object = field(repr=False)
+    matrix: sp.csr_matrix  # the assembled step matrix, for the residual check
+    lu: object = field(repr=False)  # sparse LU of the x-cell block A
+    lift: np.ndarray = field(repr=False)  # A^{-1} K, shape (m * nv, nv)
+    transfer: np.ndarray = field(repr=False)  # trace of lift, shape (nv, nv)
+    right: np.ndarray = field(repr=False)  # x-mode values er at the right cell edge
 
     def solve(self, rhs):
-        x = self.lu.solve(rhs)
+        x = self._sweep(rhs)
         resid = np.linalg.norm(self.matrix @ x - rhs)
         if not np.isfinite(resid) or resid > SOLVE_RTOL * max(np.linalg.norm(rhs), 1e-30):
             raise SolverFailure(
@@ -176,23 +189,50 @@ class LDGSystem:
             )
         return x
 
+    def _sweep(self, rhs):
+        cell, nv = self.lift.shape
+        y = self.lu.solve(rhs.reshape(-1, cell).T)  # column i is y_i
+        # row i holds c_i, then tau_i once the recurrence has passed it
+        traces = (self.right @ y.reshape(self.right.size, -1)).reshape(nv, -1).T.copy()
+        for i in range(1, traces.shape[0]):
+            traces[i] += self.transfer @ traces[i - 1]
+        y[:, 1:] += self.lift @ traces[:-1].T
+        return y.T.ravel()
 
-def assemble_system(spatial, d0):
-    """Factorize d0 * I + spatial once for reuse across all time steps."""
-    d0 = float(d0)
-    if not d0 > 0.0:
-        raise PreconditionError("leading weight d0 must be positive, got %r" % (d0,))
+
+def assemble_system(spatial, d0, basis):
+    """Set up the block sweep for d0 * I + spatial once for all time steps.
+
+    The x-cell block A and the upwind coupling are read off the assembled
+    matrix: every x-cell of the uniform mesh has the same diagonal block,
+    and the columns of x-mode 0 of the upwind cell hold -er[0] K.
+    """
+    d0 = _positive_finite(d0, "leading weight d0")
     matrix = (d0 * sp.identity(spatial.shape[0]) + spatial).tocsr()
+    right = basis.right_values()
+    nv = math.isqrt(spatial.shape[0])
+    if nv * nv != spatial.shape[0] or nv % basis.nmodes:
+        raise PreconditionError(
+            "a spatial operator of order %d does not fit degree-%d elements"
+            % (spatial.shape[0], basis.degree)
+        )
+    cell = basis.nmodes * nv
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix[:cell, :cell].tocsc())
     except RuntimeError as exc:
         raise SolverFailure("sparse factorization failed: %s" % (exc,)) from exc
-    return LDGSystem(matrix=matrix, lu=lu)
+    if spatial.shape[0] > cell:
+        coupling = -matrix[cell:2 * cell, :nv].toarray() / right[0]
+    else:
+        coupling = np.zeros((cell, nv))
+    lift = lu.solve(coupling)
+    transfer = (right @ lift.reshape(right.size, -1)).reshape(nv, nv)
+    return LDGSystem(matrix=matrix, lu=lu, lift=lift, transfer=transfer, right=right)
 
 
 def build_system(mesh, basis, d0, theta):
-    """Assemble the spatial operator and factorize the step matrix."""
-    return assemble_system(assemble_spatial(mesh, basis, theta), d0)
+    """Assemble the spatial operator and set up the step system's sweep."""
+    return assemble_system(assemble_spatial(mesh, basis, theta), d0, basis)
 
 
 def project_initial(g0, mesh, basis, discontinuities=()):
@@ -224,8 +264,8 @@ class Trajectory:
 
 
 def _integral_steps(t_final, tau):
-    if not np.isfinite(t_final):
-        raise PreconditionError("final time must be finite, got %r" % (t_final,))
+    if not (np.isfinite(t_final) and t_final >= 0.0):
+        raise PreconditionError("final time must be finite and nonnegative, got %r" % (t_final,))
     steps = round(t_final / tau)
     if abs(steps * tau - t_final) > 1e-9 * max(t_final, tau):
         raise PreconditionError(
@@ -293,7 +333,8 @@ def run(problem, n, k, tau, theta=1.0):
     """Solve the problem on an n x n mesh with degree-k elements and step tau.
 
     Returns the full trajectory.  T = 0 yields just the projected initial
-    state.  The system matrix is assembled and factorized exactly once.
+    state.  The step system is assembled, and its x-cell block factorized,
+    exactly once.
     """
     tau = _positive_finite(tau, "time step")
     theta = _positive_finite(theta, "penalty parameter")

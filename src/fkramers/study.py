@@ -293,8 +293,9 @@ def regularity_diagnostic(problem, n=16, k=1, tau=0.01, theta=1.0):
     steps = len(traj.fields) - 1
     if steps < 4:
         raise PreconditionError("too few steps for a regularity fit")
-    vecs = np.array([as_vector(f.coeffs) for f in traj.fields])
-    quots = np.linalg.norm(np.diff(vecs, axis=0), axis=1) / traj.tau
+    vecs = [as_vector(f.coeffs) for f in traj.fields]  # views of the levels, no copies
+    # axis=0 sums each pair's squares exactly as a row-wise norm would
+    quots = np.array([np.linalg.norm(b - a, axis=0) for a, b in zip(vecs, vecs[1:])]) / traj.tau
     times = traj.times[1:]
     lo, hi = 2, steps // 2  # 1-based step indices of the fit window
     window_q = quots[lo - 1:hi]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkramers import OrderOutOfRange, PreconditionError, cq_weights, history_combination
 
@@ -68,6 +70,25 @@ class TestWeights:
         w = cq_weights(alpha, tau, 200)
         expected = binomial_series_coefficients(alpha - 1.0, 200)
         assert np.allclose(tau ** alpha * w.partial_sums, expected, rtol=1e-13, atol=0.0)
+
+
+class TestWeightProperties:
+    # below alpha = 0.05 the first decrement d_1 = -alpha d_0 eventually
+    # vanishes against d_0 in floating point, and the strict decrease with it
+    @settings(deadline=None)
+    @given(st.floats(0.05, 1.0), st.floats(1e-3, 1.0), st.integers(0, 200))
+    def test_weights_expand_generating_function(self, alpha, tau, steps):
+        w = cq_weights(alpha, tau, steps)
+        assert w.d[0] == tau ** -alpha
+        if alpha < 1.0:
+            assert np.all(w.d[1:] < 0.0)
+            assert np.all(w.partial_sums > 0.0)
+            assert np.all(np.diff(w.partial_sums) < 0.0)
+        if steps >= 60:
+            # the truncated series at z = 1/2 misses terms below 2**-60
+            z = 0.5
+            series = float(np.sum(w.d * z ** np.arange(steps + 1)))
+            assert series == pytest.approx(((1.0 - z) / tau) ** alpha, rel=1e-12)
 
 
 class TestHistoryCombination:

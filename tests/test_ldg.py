@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -37,6 +38,7 @@ from fkramers import (
     project_initial,
     run,
 )
+from fkramers.cli import TEMPORAL_ALPHAS
 from fkramers.ldg import _one_d_operators, as_coeffs, as_vector, march
 
 SQ3 = math.sqrt(3.0)
@@ -190,10 +192,44 @@ class TestSystem:
             system.solve(rhs)
 
     def test_nonpositive_leading_weight_rejected(self):
+        basis = Basis(1)
+        spatial = assemble_spatial(build_mesh(2), basis, 1.0)
+        for d0 in (0.0, -2.0, math.inf, math.nan):
+            with pytest.raises(PreconditionError, match="leading weight"):
+                assemble_system(spatial, d0, basis)
+
+    def test_spatial_operator_of_other_degree_rejected(self):
         spatial = assemble_spatial(build_mesh(2), Basis(1), 1.0)
-        for d0 in (0.0, -2.0):
-            with pytest.raises(PreconditionError):
-                assemble_system(spatial, d0)
+        with pytest.raises(PreconditionError, match="degree-2"):
+            assemble_system(spatial, 1.0, Basis(2))
+
+
+#: every order at which a built-in problem's temporal table is computed
+TABLE_ALPHAS = sorted({alpha for alphas in TEMPORAL_ALPHAS.values() for alpha in alphas})
+
+
+class TestBlockSweep:
+    @pytest.mark.parametrize("theta", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_global_lu(self, k, n, theta):
+        # the x-upwind sweep against a sparse LU of the whole step matrix, at
+        # the leading CQ weight of every tabulated order with the default step
+        mesh = build_mesh(n)
+        basis = Basis(k)
+        spatial = assemble_spatial(mesh, basis, theta)
+        rhs = np.random.default_rng(n * 10 + k).standard_normal(spatial.shape[0])
+        for alpha in TABLE_ALPHAS:
+            d0 = cq_weights(alpha, 0.01, 1).d[0]
+            got = build_system(mesh, basis, d0, theta).solve(rhs)
+            ref = spla.splu((d0 * sp.identity(rhs.size) + spatial).tocsc()).solve(rhs)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_factor_has_no_fill_in_beyond_matrix(self):
+        # only one x-cell block is factorized; a global LU of the N = 64,
+        # k = 2 step matrix holds about 16 times the matrix's entries
+        system = build_system(build_mesh(64), Basis(2), 3.0, 1.0)
+        assert system.lu.L.nnz + system.lu.U.nnz <= system.matrix.nnz
 
 
 def reference_march(system, weights, g0_vec, load_fn, steps):
@@ -297,7 +333,7 @@ class TestRun:
             run(problem, 2, 1, 0.0)
 
     @pytest.mark.parametrize("tau, theta, t_final", [
-        (math.inf, 1.0, 1.0), (0.5, math.inf, 1.0), (0.5, 1.0, math.inf),
+        (math.inf, 1.0, 1.0), (0.5, math.inf, 1.0), (0.5, 1.0, math.inf), (0.5, 1.0, -1.0),
     ])
     def test_nonfinite_input_rejected(self, tau, theta, t_final):
         problem = get_problem("ex1a", 0.5, t_final)

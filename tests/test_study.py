@@ -1,6 +1,7 @@
 """Error measures, convergence tables, stability probe, and the decay diagnostic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,3 +247,15 @@ class TestRegularity:
     def test_too_few_steps_rejected(self):
         with pytest.raises(PreconditionError):
             regularity_diagnostic(get_problem("ex1b", 0.5), n=2, k=1, tau=0.5)
+
+    def test_peak_memory_close_to_levels(self):
+        # the differences are taken pair by pair, so no stacked copy of the
+        # levels appears next to the array the run returns
+        steps = 2000
+        tracemalloc.start()
+        try:
+            regularity_diagnostic(get_problem("ex1b", 0.5), n=16, k=1, tau=1.0 / steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (steps + 1) * (16 * 16 * 4) * 8
