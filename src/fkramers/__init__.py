@@ -20,7 +20,6 @@ from .ldg import (
     DGField,
     LDGSystem,
     Trajectory,
-    assemble_gradient,
     assemble_spatial,
     assemble_system,
     build_system,
@@ -88,7 +87,6 @@ __all__ = [
     "RegularityFit",
     "SolverFailure",
     "Trajectory",
-    "assemble_gradient",
     "assemble_spatial",
     "assemble_system",
     "build_mesh",

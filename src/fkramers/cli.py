@@ -172,6 +172,9 @@ def _validate(config):
         raise ConfigError("unknown problem %r" % (config.problem,))
     if any(r < 1 for r in config.n_list) or any(r < 1 for r in config.inv_taus):
         raise ConfigError("resolution lists must contain positive integers")
+    for flag, values in (("N-list", config.n_list), ("tau-list", config.inv_taus)):
+        if len(set(values)) < len(values):
+            raise ConfigError("--%s repeats a resolution: %s" % (flag, ",".join(map(str, values))))
 
 
 def parse(argv):

@@ -13,6 +13,7 @@ between concurrent runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -142,13 +143,24 @@ class QuadRule:
 
 
 def gauss_rule(q):
-    """Gauss-Legendre rule with q points, exact for polynomials of degree 2q - 1."""
+    """Gauss-Legendre rule with q points, exact for polynomials of degree 2q - 1.
+
+    Rules are computed once per point count and shared; their arrays are
+    read-only.
+    """
     if not isinstance(q, Integral) or q < 1 or q > MAX_QUAD_POINTS:
         raise PreconditionError(
             "quadrature point count must be an integer in [1, %d], got %r" % (MAX_QUAD_POINTS, q)
         )
-    nodes, weights = np.polynomial.legendre.leggauss(int(q))
-    return QuadRule(q=int(q), nodes=nodes, weights=weights)
+    return _gauss_rule(int(q))
+
+
+@lru_cache(maxsize=MAX_QUAD_POINTS)
+def _gauss_rule(q):
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadRule(q=q, nodes=nodes, weights=weights)
 
 
 def cell_points(mesh, xi):
@@ -160,17 +172,22 @@ def cell_points(mesh, xi):
 def modal_project(fn, mesh, basis, q):
     """Cell-wise L2 projection of fn(x, v) onto the modal tensor basis.
 
-    Returns coefficients with axes (x-cell, v-cell, x-mode, v-mode).  fn must
-    broadcast over numpy arrays.
+    Returns coefficients with axes (x-cell, v-cell, x-mode, v-mode), as a
+    transposed view of an array stored in the order (x-cell, x-mode, v-cell,
+    v-mode).  fn must broadcast over numpy arrays.
     """
     rule = gauss_rule(q)
     pts = cell_points(mesh, rule.nodes).ravel()
     vals = np.asarray(fn(pts[:, None], pts[None, :]), dtype=float)
     if vals.shape != (pts.size, pts.size):
         vals = np.broadcast_to(vals, (pts.size, pts.size))
-    grid = vals.reshape(mesh.n, rule.q, mesh.n, rule.q)
     tab = basis.eval_table(rule.nodes) * rule.weights
-    return 0.5 * mesh.h * np.einsum("ipjq,ap,bq->ijab", grid, tab, tab)
+    # two matmuls: the x-points first, giving (i, a, j, v-point), then the v-points
+    half = np.matmul(tab, vals.reshape(mesh.n, rule.q, mesh.n * rule.q))
+    coeffs = half.reshape(-1, rule.q) @ tab.T
+    coeffs *= 0.5 * mesh.h
+    m = basis.nmodes
+    return coeffs.reshape(mesh.n, m, mesh.n, m).transpose(0, 2, 1, 3)
 
 
 def modal_evaluate(coeffs, mesh, basis, xi):

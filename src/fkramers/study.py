@@ -27,9 +27,16 @@ DEFAULT_INV_TAUS = (10, 20, 40, 80, 160)
 
 
 def rates_from_errors(resolutions, errors):
-    """Observed orders: log(E_i / E_{i+1}) / log(r_{i+1} / r_i)."""
+    """Observed orders: log(E_i / E_{i+1}) / log(r_{i+1} / r_i).
+
+    The resolutions must be distinct and the errors positive.
+    """
     res = [float(r) for r in resolutions]
     err = [float(e) for e in errors]
+    if len(set(res)) < len(res):
+        raise PreconditionError("resolutions must be distinct, got %r" % (tuple(resolutions),))
+    if not all(e > 0.0 for e in err):
+        raise PreconditionError("errors must be positive, got %r" % (tuple(errors),))
     return tuple(
         math.log(err[i] / err[i + 1]) / math.log(res[i + 1] / res[i])
         for i in range(len(err) - 1)

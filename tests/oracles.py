@@ -2,12 +2,19 @@
 
 Everything here is written from the underlying definitions with plain dense
 numpy and explicit loops, on purpose: these routines cross-check the package
-without sharing any of its assembly or quadrature code paths.
+without sharing any of its assembly or quadrature code paths.  The exception
+is the last section: the scipy.sparse construction of the 1D operators that
+the package used before it built them as dense arrays, kept as their
+reference, and the sparse discrete gradients that hand-derived matrices are
+checked against.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
+
+from fkramers.ldg import _one_d_operators, _reference_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +235,56 @@ class ClassicalLDG:
         """Evaluate a nodal coefficient tensor at reference points per cell."""
         val = np.array([p(ref_nodes) for p in self.polys])
         return np.einsum("ijpq,pg,qh->igjh", g, val, val)
+
+
+# ---------------------------------------------------------------------------
+# sparse assembly from 1D operators
+# ---------------------------------------------------------------------------
+
+def _shift(n, offset):
+    return sp.diags(np.ones(n - abs(offset)), offset, shape=(n, n))
+
+
+def sparse_one_d_operators(mesh, basis):
+    """scipy.sparse construction of (grad_x, grad_v, div_v, vmass, penalty).
+
+    The reference for ``fkramers.ldg._one_d_operators``, which builds the
+    same five operators as dense arrays.
+    """
+    n, h, m = mesh.n, mesh.h, basis.nmodes
+    der, jmat, el, er = _reference_blocks(basis)
+    eye_cells = sp.identity(n)
+    first = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
+    tail = sp.diags(np.r_[0.0, np.ones(n - 1)])  # cells with an interior lower face
+
+    two_h = 2.0 / h
+    grad_x = two_h * (
+        sp.kron(eye_cells, der + np.outer(el, el)) - sp.kron(_shift(n, -1), np.outer(el, er))
+    )
+    grad_v = two_h * (
+        sp.kron(eye_cells, der - np.outer(er, er))
+        + sp.kron(first, np.outer(el, el))
+        + sp.kron(_shift(n, 1), np.outer(er, el))
+    )
+    div_v = two_h * (
+        sp.kron(eye_cells, -der)
+        - sp.kron(tail, np.outer(el, el))
+        + sp.kron(_shift(n, -1), np.outer(el, er))
+    )
+    vmass = sp.kron(sp.diags(mesh.centers), sp.identity(m)) + 0.5 * h * sp.kron(eye_cells, jmat)
+    penalty = (2.0 / h ** 2) * sp.kron(first, np.outer(el, el))
+    return grad_x, grad_v, div_v, vmass, penalty
+
+
+def assemble_gradient(mesh, basis):
+    """Sparse discrete-gradient operators (d_x, d_v) of the package's 1D operators.
+
+    Applied to a raveled coefficient vector they yield the modal coefficients
+    of the auxiliary gradient components (the element mass matrix is the
+    identity, so no extra solve is needed).
+    """
+    grad_x, grad_v, _, _, _ = _one_d_operators(mesh, basis)
+    block = mesh.n * basis.nmodes
+    d_x = sp.kron(grad_x, sp.identity(block)).tocsr()
+    d_v = sp.kron(sp.identity(block), grad_v).tocsr()
+    return d_x, d_v

@@ -163,6 +163,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["study-time", "--tau-list", "1,1"],
+        ["study-time", "--tau-list", "10,10,20"],
+        ["study-time", "--tau-list", "10,20,10"],
+        ["study-space", "--N-list", "4,4"],
+    ])
+    def test_repeated_resolution_exit_two(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "repeats a resolution" in err
+
     def test_solver_failure_exit_three(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise SolverFailure("synthetic breakdown")

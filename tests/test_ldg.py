@@ -22,7 +22,6 @@ from fkramers import (
     PreconditionError,
     ProblemSpec,
     SolverFailure,
-    assemble_gradient,
     assemble_spatial,
     assemble_system,
     build_mesh,
@@ -40,6 +39,7 @@ from fkramers import (
 )
 from fkramers.cli import TEMPORAL_ALPHAS
 from fkramers.ldg import _one_d_operators, as_coeffs, as_vector, march
+from oracles import assemble_gradient, sparse_one_d_operators
 
 SQ3 = math.sqrt(3.0)
 
@@ -110,7 +110,7 @@ class TestPenalty:
 
 def five_kron_spatial(mesh, basis, theta):
     """The spatial operator composed from five ndof-sized Kronecker products."""
-    grad_x, grad_v, div_v, vmass, penalty = _one_d_operators(mesh, basis)
+    grad_x, grad_v, div_v, vmass, penalty = sparse_one_d_operators(mesh, basis)
     eye_block = sp.identity(mesh.n * basis.nmodes)
     d_x = sp.kron(grad_x, eye_block)
     d_v = sp.kron(eye_block, grad_v)
@@ -124,10 +124,11 @@ def five_kron_spatial(mesh, basis, theta):
 class TestSpatialAssembly:
     @pytest.mark.parametrize("theta", [1.0, 2.5])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
     def test_matches_five_kron_composition(self, n, k, theta):
-        # the two-factor form G (x) V + I (x) B is the mixed-product rewrite
-        # of w (d_x - d_v) + t_v d_v + theta pen - I
+        # the two-factor form G (x) V + I (x) B, built from dense 1D operators,
+        # is the mixed-product rewrite of w (d_x - d_v) + t_v d_v + theta pen - I
+        # composed from the scipy.sparse 1D operators
         mesh = build_mesh(n)
         basis = Basis(k)
         got = assemble_spatial(mesh, basis, theta)
@@ -135,6 +136,15 @@ class TestSpatialAssembly:
         assert got.nnz == ref.nnz
         scale = abs(ref).max()
         assert abs(got - ref).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+    def test_dense_one_d_operators_match_sparse(self, n, k):
+        mesh = build_mesh(n)
+        basis = Basis(k)
+        for got, ref in zip(_one_d_operators(mesh, basis), sparse_one_d_operators(mesh, basis)):
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, ref.toarray())
 
 
 class TestSystem:
@@ -190,6 +200,20 @@ class TestSystem:
         rhs[3] = np.nan
         with pytest.raises(SolverFailure):
             system.solve(rhs)
+
+    def test_residual_check_survives_huge_loads(self):
+        # ||rhs||**2 overflows above ~1.3e154; the check must still judge a
+        # sweep whose error is 1e-8 of the load, and pass the exact one
+        system = build_system(build_mesh(2), Basis(1), 1.0, 1.0)
+        rhs = 1e160 * np.random.default_rng(3).standard_normal(16)
+        assert np.linalg.norm(rhs / 1e160) * 1e160 > 1e155
+        with np.errstate(over="raise", invalid="raise"):
+            x = system.solve(rhs)
+            sweep = system._sweep
+            system._sweep = lambda r: sweep(r) * (1.0 + 1e-8)
+            with pytest.raises(SolverFailure):
+                system.solve(rhs)
+        assert np.all(np.isfinite(x))
 
     def test_nonpositive_leading_weight_rejected(self):
         basis = Basis(1)

@@ -114,6 +114,26 @@ class TestGaussRule:
         assert np.all(rule.weights > 0.0)
         assert float(rule.weights.sum()) == pytest.approx(2.0, abs=1e-13)
 
+    def test_rule_is_shared(self):
+        assert gauss_rule(4) is gauss_rule(4)
+        assert gauss_rule(np.int64(4)) is gauss_rule(4)
+
+    def test_arrays_read_only(self):
+        rule = gauss_rule(3)
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights *= 2.0
+        assert np.array_equal(rule.weights, np.polynomial.legendre.leggauss(3)[1])
+
+    @pytest.mark.parametrize("q", range(1, MAX_QUAD_POINTS + 1))
+    def test_bitwise_equal_to_leggauss(self, q):
+        nodes, weights = np.polynomial.legendre.leggauss(q)
+        rule = gauss_rule(q)
+        assert rule.q == q
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
+
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     def test_exact_for_random_polynomials(self, q):
         rng = np.random.default_rng(2024 + q)
@@ -168,3 +188,22 @@ class TestModalProject:
         pts = cell_points(mesh, rule.nodes)
         exact = fn(pts[:, :, None, None], pts[None, None, :, :])
         assert np.max(np.abs(vals - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("dq", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    def test_matches_einsum_contraction(self, n, k, dq):
+        # the two matmuls against the three-operand einsum they replaced
+        mesh = build_mesh(n)
+        basis = Basis(k)
+        q = k + dq
+        fn = lambda x, v: np.exp(x - 2.0 * v) * np.cos(3.0 * x * v) + (x > 0.5)
+        got = modal_project(fn, mesh, basis, q)
+
+        rule = gauss_rule(q)
+        pts = cell_points(mesh, rule.nodes).ravel()
+        grid = fn(pts[:, None], pts[None, :]).reshape(n, q, n, q)
+        tab = basis.eval_table(rule.nodes) * rule.weights
+        ref = 0.5 * mesh.h * np.einsum("ipjq,ap,bq->ijab", grid, tab, tab)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))

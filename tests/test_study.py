@@ -42,6 +42,17 @@ class TestRates:
         # error ~ 1/N gives rate exactly one on a 4 -> 12 step
         assert rates_from_errors((4, 12), (3.0, 1.0))[0] == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("resolutions, errors", [
+        ((10, 10), (4.0, 1.0)),
+        ((10, 10, 20), (4.0, 2.0, 1.0)),
+        ((10, 20, 10), (4.0, 2.0, 1.0)),
+        ((10, 20), (4.0, 0.0)),
+        ((10, 20), (0.0, 1.0)),
+    ])
+    def test_degenerate_input_rejected(self, resolutions, errors):
+        with pytest.raises(PreconditionError):
+            rates_from_errors(resolutions, errors)
+
     def test_reproduces_tabulated_rate(self):
         # rounded stored errors reproduce the tabulated rate to table precision
         rate = rates_from_errors((4, 8), (1.032e-01, 2.625e-02))[0]
