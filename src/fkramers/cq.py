@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import OrderOutOfRange, PreconditionError
+from .errors import OrderOutOfRange, PreconditionError, require_memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +48,7 @@ def cq_weights(alpha, tau, steps):
     if not isinstance(steps, Integral) or steps < 0:
         raise PreconditionError("step count must be a nonnegative integer, got %r" % (steps,))
     steps = int(steps)
+    require_memory(2 * (steps + 1), "the CQ weights of %d steps" % steps)
     d = np.empty(steps + 1)
     d[0] = tau ** (-alpha)
     for j in range(1, steps + 1):

@@ -17,14 +17,16 @@ velocity weight, and B gathers v-transport, diffusion, penalty and the shift.
 
 G is block lower bidiagonal over the x-cells with equal diagonal blocks, so
 each time step is solved exactly by an x-upwind block sweep (Reed & Hill,
-1973): one sparse LU of a single x-cell block, computed once per run, then
-forward substitution cell by cell in the flow direction.
+1973): the dense inverse of a single x-cell block, formed once per run,
+applied to all cells in one matrix product, then a recurrence over the cell
+traces in the flow direction and one more product for the upwind coupling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cq import cq_weights
-from .errors import PreconditionError, SolverFailure
+from .errors import PreconditionError, SolverFailure, require_memory
 from .mesh import Basis, Mesh2D, build_mesh, gauss_rule, modal_project
 from .problems import load_vector, require_mesh_aligned
 
@@ -157,11 +159,13 @@ class LDGSystem:
     solved in the flow direction by u_i = y_i + lift tau_{i-1}, with
     y_i = A^{-1} r_i and lift = A^{-1} K, and the right traces
     tau_i = kron(er^T, I_nv) u_i obey tau_i = c_i + transfer tau_{i-1}, where
-    c_i is the trace of y_i.  Immutable after construction.
+    c_i is the trace of y_i.  Every y_i comes from one product with the dense
+    A^{-1}, so a step makes no sparse solve.  Immutable after construction.
     """
 
     matrix: sp.csr_matrix  # the assembled step matrix, for the residual check
-    lu: object = field(repr=False)  # sparse LU of the x-cell block A
+    lu: object = field(repr=False)  # sparse LU of A; forms lift, not used by a step
+    inverse: np.ndarray = field(repr=False)  # dense A^{-1}, shape (m * nv, m * nv)
     lift: np.ndarray = field(repr=False)  # A^{-1} K, shape (m * nv, nv)
     transfer: np.ndarray = field(repr=False)  # trace of lift, shape (nv, nv)
     right: np.ndarray = field(repr=False)  # x-mode values er at the right cell edge
@@ -184,13 +188,13 @@ class LDGSystem:
 
     def _sweep(self, rhs):
         cell, nv = self.lift.shape
-        y = self.lu.solve(rhs.reshape(-1, cell).T)  # column i is y_i
+        y = rhs.reshape(-1, cell) @ self.inverse.T  # row i is y_i
         # row i holds c_i, then tau_i once the recurrence has passed it
-        traces = (self.right @ y.reshape(self.right.size, -1)).reshape(nv, -1).T.copy()
+        traces = self.right @ y.reshape(y.shape[0], self.right.size, nv)
         for i in range(1, traces.shape[0]):
             traces[i] += self.transfer @ traces[i - 1]
-        y[:, 1:] += self.lift @ traces[:-1].T
-        return y.T.ravel()
+        y[1:] += traces[:-1] @ self.lift.T
+        return y.ravel()
 
 
 def assemble_system(spatial, d0, basis):
@@ -214,13 +218,16 @@ def assemble_system(spatial, d0, basis):
         lu = spla.splu(matrix[:cell, :cell].tocsc())
     except RuntimeError as exc:
         raise SolverFailure("sparse factorization failed: %s" % (exc,)) from exc
+    inverse = np.linalg.inv(matrix[:cell, :cell].toarray())
     if spatial.shape[0] > cell:
         coupling = -matrix[cell:2 * cell, :nv].toarray() / right[0]
     else:
         coupling = np.zeros((cell, nv))
     lift = lu.solve(coupling)
     transfer = (right @ lift.reshape(right.size, -1)).reshape(nv, nv)
-    return LDGSystem(matrix=matrix, lu=lu, lift=lift, transfer=transfer, right=right)
+    return LDGSystem(
+        matrix=matrix, lu=lu, inverse=inverse, lift=lift, transfer=transfer, right=right
+    )
 
 
 def build_system(mesh, basis, d0, theta):
@@ -259,12 +266,37 @@ class Trajectory:
 def _integral_steps(t_final, tau):
     if not (np.isfinite(t_final) and t_final >= 0.0):
         raise PreconditionError("final time must be finite and nonnegative, got %r" % (t_final,))
+    if not math.isfinite(t_final / tau):
+        raise PreconditionError(
+            "final time %r holds more steps of %r than a float can count" % (t_final, tau)
+        )
     steps = round(t_final / tau)
     if abs(steps * tau - t_final) > 1e-9 * max(t_final, tau):
         raise PreconditionError(
             "final time %r is not an integral multiple of the step %r" % (t_final, tau)
         )
     return int(steps)
+
+
+def _require_run_memory(n, basis, steps):
+    """Raise PreconditionError if a run's arrays cannot fit in physical memory.
+
+    Counts, in doubles, what grows with the inputs: the sampled initial data
+    and load, and every stored level; with steps, also the CQ weights and
+    partial sums, the five dense 1D operators and the dense inverse of the
+    x-cell block.  Call it before allocating any of them.
+    """
+    if not isinstance(n, Integral) or n < 1:
+        return  # build_mesh names the bad resolution
+    m = basis.nmodes
+    block = int(n) * m
+    doubles = (int(n) * (m + 1)) ** 2 + (steps + 1) * block ** 2
+    if steps:
+        doubles += 2 * (steps + 1) + 5 * block ** 2 + (block * m) ** 2
+    require_memory(
+        doubles,
+        "a run of %.4g steps at N = %d, k = %d" % (steps, n, basis.degree),
+    )
 
 
 #: Size of the base blocks whose history is summed directly.
@@ -331,9 +363,10 @@ def run(problem, n, k, tau, theta=1.0):
     """
     tau = _positive_finite(tau, "time step")
     theta = _positive_finite(theta, "penalty parameter")
-    mesh = build_mesh(n)
     basis = Basis(k)
     steps = _integral_steps(problem.t_final, tau)
+    _require_run_memory(n, basis, steps)
+    mesh = build_mesh(n)
     g0_field = project_initial(
         problem.g0, mesh, basis, discontinuities=problem.discontinuities
     )

@@ -169,6 +169,18 @@ def cell_points(mesh, xi):
     return mesh.nodes[:-1, None] + 0.5 * mesh.h * (xi[None, :] + 1.0)
 
 
+@lru_cache(maxsize=MAX_QUAD_POINTS)
+def _weighted_table(degree, q):
+    """Orthonormal Legendre values times the Gauss weights, shape (degree + 1, q).
+
+    Computed once per (degree, q) and shared; the array is read-only.
+    """
+    rule = _gauss_rule(q)
+    tab = legendre_table(degree, rule.nodes) * rule.weights
+    tab.flags.writeable = False
+    return tab
+
+
 def modal_project(fn, mesh, basis, q):
     """Cell-wise L2 projection of fn(x, v) onto the modal tensor basis.
 
@@ -181,7 +193,7 @@ def modal_project(fn, mesh, basis, q):
     vals = np.asarray(fn(pts[:, None], pts[None, :]), dtype=float)
     if vals.shape != (pts.size, pts.size):
         vals = np.broadcast_to(vals, (pts.size, pts.size))
-    tab = basis.eval_table(rule.nodes) * rule.weights
+    tab = _weighted_table(basis.degree, rule.q)
     # two matmuls: the x-points first, giving (i, a, j, v-point), then the v-points
     half = np.matmul(tab, vals.reshape(mesh.n, rule.q, mesh.n * rule.q))
     coeffs = half.reshape(-1, rule.q) @ tab.T

@@ -18,7 +18,8 @@ import numpy as np
 from .cq import cq_weights
 from .errors import MeshMismatch, PreconditionError
 from .ldg import (
-    DGField, _integral_steps, _positive_finite, as_vector, build_system, march, run,
+    DGField, _integral_steps, _positive_finite, _require_run_memory, as_vector, build_system,
+    march, run,
 )
 from .mesh import Basis, build_mesh, gauss_rule, legendre_table, modal_evaluate
 
@@ -255,7 +256,6 @@ def stability_probe(alpha, n=8, k=1, tau=0.02, trials=10, theta=1.0, seed=0, t_f
     A value comfortably below the frozen bound demonstrates the unconditional
     stability of the implicit scheme.
     """
-    mesh = build_mesh(n)
     basis = Basis(k)
     tau = _positive_finite(tau, "time step")
     steps = _integral_steps(t_final, tau)
@@ -266,6 +266,8 @@ def stability_probe(alpha, n=8, k=1, tau=0.02, trials=10, theta=1.0, seed=0, t_f
         )
     if trials < 1:
         raise PreconditionError("the stability probe needs at least one trial, got %r" % (trials,))
+    _require_run_memory(n, basis, steps)
+    mesh = build_mesh(n)
     weights = cq_weights(alpha, tau, steps)
     system = build_system(mesh, basis, weights.d[0], theta)
     ndof = (mesh.n * basis.nmodes) ** 2

@@ -5,8 +5,9 @@ numpy and explicit loops, on purpose: these routines cross-check the package
 without sharing any of its assembly or quadrature code paths.  The exception
 is the last section: the scipy.sparse construction of the 1D operators that
 the package used before it built them as dense arrays, kept as their
-reference, and the sparse discrete gradients that hand-derived matrices are
-checked against.
+reference, the sparse discrete gradients that hand-derived matrices are
+checked against, and the block sweep with a sparse LU of the x-cell block
+that the package used before it applied a dense inverse.
 """
 
 import math
@@ -238,7 +239,7 @@ class ClassicalLDG:
 
 
 # ---------------------------------------------------------------------------
-# sparse assembly from 1D operators
+# sparse assembly from 1D operators, and the sparse block sweep
 # ---------------------------------------------------------------------------
 
 def _shift(n, offset):
@@ -288,3 +289,17 @@ def assemble_gradient(mesh, basis):
     d_x = sp.kron(grad_x, sp.identity(block)).tocsr()
     d_v = sp.kron(sp.identity(block), grad_v).tocsr()
     return d_x, d_v
+
+
+def splu_sweep(system, rhs):
+    """The x-upwind block sweep of an LDGSystem with each y_i = A^{-1} r_i
+    taken from the sparse LU of the x-cell block instead of its dense inverse.
+    """
+    cell, nv = system.lift.shape
+    y = system.lu.solve(rhs.reshape(-1, cell).T)  # column i is y_i
+    # row i holds c_i, then tau_i once the recurrence has passed it
+    traces = (system.right @ y.reshape(system.right.size, -1)).reshape(nv, -1).T.copy()
+    for i in range(1, traces.shape[0]):
+        traces[i] += system.transfer @ traces[i - 1]
+    y[:, 1:] += system.lift @ traces[:-1].T
+    return y.T.ravel()

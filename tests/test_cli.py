@@ -1,5 +1,6 @@
 """Command-line interface: parsing, config files, exit codes, output formats."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,32 @@ class TestMain:
                      "--N", "3", "--tau-list", "2,4"])
         assert code == 4
         assert "precondition violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["cq-weights", "--steps", "1000000000000"],
+        ["solve", "--tau", "1e-300", "--T", "1"],
+        ["solve", "--N", "100000"],
+        ["solve", "--N", "1000000000000"],
+        ["stability", "--N", "100000"],
+        ["study-space", "--N-list", "4,100000"],
+    ])
+    def test_input_beyond_memory_exit_four(self, capsys, argv):
+        # the estimate is checked before any array of that size is requested
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "precondition violated" in err and "GiB, more than the" in err
+        assert "of physical memory" in err
+        assert peak < 16 * 2 ** 20
+
+    def test_step_count_beyond_float_exit_four(self, capsys):
+        assert main(["solve", "--tau", "1e-320", "--T", "1"]) == 4
+        assert "more steps of 1e-320 than a float can count" in capsys.readouterr().err
 
     def test_projection_dump_at_time_zero(self, capsys):
         assert main(["solve", "--N", "2", "--T", "0"]) == 0

@@ -5,6 +5,7 @@ form with the one-sided traces stated in the module docstring, using the
 orthonormal basis on [0, 1]: psi_0 = 1, psi_1 = sqrt(3) (2 s - 1).
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -39,7 +40,7 @@ from fkramers import (
 )
 from fkramers.cli import TEMPORAL_ALPHAS
 from fkramers.ldg import _one_d_operators, as_coeffs, as_vector, march
-from oracles import assemble_gradient, sparse_one_d_operators
+from oracles import assemble_gradient, sparse_one_d_operators, splu_sweep
 
 SQ3 = math.sqrt(3.0)
 
@@ -254,6 +255,40 @@ class TestBlockSweep:
         # k = 2 step matrix holds about 16 times the matrix's entries
         system = build_system(build_mesh(64), Basis(2), 3.0, 1.0)
         assert system.lu.L.nnz + system.lu.U.nnz <= system.matrix.nnz
+
+    @pytest.mark.parametrize("theta", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dense_sweep_matches_splu_sweep(self, k, n, theta):
+        # the dense inverse of the x-cell block against its sparse LU, over
+        # leading weights from far below to far above the spatial operator
+        basis = Basis(k)
+        spatial = assemble_spatial(build_mesh(n), basis, theta)
+        rhs = np.random.default_rng(n * 10 + k).standard_normal(spatial.shape[0])
+        d0s = [1e-3, 1.0, 3.7, 1e4] + [cq_weights(a, 0.01, 1).d[0] for a in TABLE_ALPHAS]
+        for d0 in d0s:
+            system = assemble_system(spatial, d0, basis)
+            ref = splu_sweep(system, rhs)
+            got = system._sweep(rhs)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), d0
+
+    def test_step_makes_no_sparse_solve(self):
+        system = build_system(build_mesh(8), Basis(2), 3.0, 1.0)
+        rhs = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
+        without_lu = dataclasses.replace(system, lu=None)
+        assert without_lu.solve(rhs).tobytes() == system.solve(rhs).tobytes()
+
+    def test_setup_peak_memory(self):
+        # the held inverse (2.6 MB at N = 64, k = 2) stays below the peak of
+        # assembly, so set-up needs no more memory than with the sparse LU alone
+        build_system(build_mesh(2), Basis(2), 3.0, 1.0)  # warm the caches
+        tracemalloc.start()
+        try:
+            build_system(build_mesh(64), Basis(2), 3.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2 ** 20
 
 
 def reference_march(system, weights, g0_vec, load_fn, steps):

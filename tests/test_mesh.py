@@ -15,7 +15,13 @@ from fkramers import (
     gauss_rule,
     legendre_eval,
 )
-from fkramers.mesh import MAX_QUAD_POINTS, cell_points, legendre_table, modal_project
+from fkramers.mesh import (
+    MAX_QUAD_POINTS,
+    _weighted_table,
+    cell_points,
+    legendre_table,
+    modal_project,
+)
 
 
 def exact_legendre(degree, point):
@@ -207,3 +213,28 @@ class TestModalProject:
         ref = 0.5 * mesh.h * np.einsum("ipjq,ap,bq->ijab", grid, tab, tab)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dq", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cached_table_matches_uncached_product(self, k, dq):
+        # the shared weighted table, and a projection through it, against the
+        # table built afresh from the basis and the rule
+        mesh = build_mesh(4)
+        basis = Basis(k)
+        q = k + dq
+        rule = gauss_rule(q)
+        fresh = basis.eval_table(rule.nodes) * rule.weights
+        table = _weighted_table(k, q)
+        assert table is _weighted_table(k, q)
+        assert table.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+        fn = lambda x, v: np.exp(x - 2.0 * v) * np.cos(3.0 * x * v)
+        pts = cell_points(mesh, rule.nodes).ravel()
+        vals = fn(pts[:, None], pts[None, :])
+        half = np.matmul(fresh, vals.reshape(mesh.n, q, mesh.n * q))
+        ref = half.reshape(-1, q) @ fresh.T
+        ref *= 0.5 * mesh.h
+        ref = ref.reshape(mesh.n, k + 1, mesh.n, k + 1).transpose(0, 2, 1, 3)
+        assert modal_project(fn, mesh, basis, q).tobytes() == ref.tobytes()
