@@ -292,8 +292,10 @@ def assemble_gradient(mesh, basis):
 
 
 def splu_sweep(system, rhs):
-    """The x-upwind block sweep of an LDGSystem with each y_i = A^{-1} r_i
-    taken from the sparse LU of the x-cell block instead of its dense inverse.
+    """The x-upwind block sweep of an LDGSystem, solving with its sparse LU.
+
+    Each y_i = A^{-1} r_i comes from a SuperLU solve with the x-cell block,
+    as the package computed it before it applied the dense inverse.
     """
     cell, nv = system.lift.shape
     y = system.lu.solve(rhs.reshape(-1, cell).T)  # column i is y_i
