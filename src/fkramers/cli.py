@@ -15,7 +15,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .cq import cq_weights
-from .errors import ConfigError, OrderOutOfRange, PreconditionError, SolverFailure
+from .errors import (
+    ConfigError, OrderOutOfRange, PreconditionError, SolverFailure, require_memory,
+)
 from .ldg import field_to_csv, run
 from .problems import PROBLEM_IDS, get_problem
 from .study import (
@@ -329,9 +331,13 @@ def _dispatch(config):
         return
 
     if config.command == "stability":
+        alphas = _default_alphas(config)
+        # every output row, a string of about 80 bytes, is held until the end
+        require_memory(10 * len(alphas) * config.trials,
+                       "the output of %d stability trials" % config.trials)
         lines = ["alpha,trial,ratio"]
         worst = 0.0
-        for alpha in _default_alphas(config):
+        for alpha in alphas:
             for trial in range(config.trials):
                 ratio = stability_probe(
                     alpha, n=config.n, k=config.k, tau=config.tau, trials=1,

@@ -49,8 +49,14 @@ def cq_weights(alpha, tau, steps):
         raise PreconditionError("step count must be a nonnegative integer, got %r" % (steps,))
     steps = int(steps)
     require_memory(2 * (steps + 1), "the CQ weights of %d steps" % steps)
+    try:
+        lead = tau ** (-alpha)
+    except OverflowError:
+        raise PreconditionError(
+            "leading weight tau**-alpha overflows for tau = %r, alpha = %r" % (tau, alpha)
+        ) from None
     d = np.empty(steps + 1)
-    d[0] = tau ** (-alpha)
+    d[0] = lead
     for j in range(1, steps + 1):
         d[j] = d[j - 1] * (j - 1 - alpha) / j
     return CQWeights(alpha=alpha, tau=tau, steps=steps, d=d, partial_sums=np.cumsum(d))

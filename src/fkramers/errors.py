@@ -35,7 +35,7 @@ class MeshMismatch(PreconditionError):
 
 
 class SolverFailure(RuntimeError):
-    """Sparse factorization or linear solve failed."""
+    """The x-cell block of a time step cannot be inverted, or a solve misses its residual bound."""
 
 
 class ConfigError(ValueError):

@@ -20,18 +20,21 @@ each time step is solved exactly by an x-upwind block sweep (Reed & Hill,
 1973): the dense inverse of a single x-cell block, formed once per run,
 applied to all cells in one matrix product, then a recurrence over the cell
 traces in the flow direction and one more product for the upwind coupling.
+The step path keeps only the dense 1D factors G, V, B and arrays of order at
+most (k + 1)^2 N, and uses numpy alone; scipy is imported only to build the
+assembled sparse operator on request (`assemble_spatial`, `LDGSystem.matrix`
+and `LDGSystem.lu`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cq import cq_weights
 from .errors import PreconditionError, SolverFailure, require_memory
@@ -133,24 +136,41 @@ def _positive_finite(value, name):
     return value
 
 
-def assemble_spatial(mesh, basis, theta):
-    """Sparse spatial operator acting on the primary unknown.
+def _step_factors(mesh, basis, theta):
+    """The dense 1D factors (grad_x, vmass, v_block) of the spatial operator.
 
-    Composes transport in x, transport and diffusion in v, the boundary
-    penalty along v = 0 scaled by theta, and the negative unit zeroth-order
-    shift coming from rewriting the drift divergence, as
-    grad_x (x) vmass + I (x) ((div_v - vmass) grad_v + theta penalty - I).
+    The operator is grad_x (x) vmass + I (x) v_block, where
+    v_block = (div_v - vmass) grad_v + theta penalty - I gathers transport
+    and diffusion in v, the boundary penalty along v = 0 scaled by theta,
+    and the negative unit zeroth-order shift coming from rewriting the drift
+    divergence.
     """
     theta = _positive_finite(theta, "penalty parameter")
     grad_x, grad_v, div_v, vmass, penalty = _one_d_operators(mesh, basis)
-    block = mesh.n * basis.nmodes
-    v_block = (div_v - vmass) @ grad_v + theta * penalty - np.eye(block)
-    return (sp.kron(grad_x, vmass) + sp.kron(sp.identity(block), v_block)).tocsr()
+    v_block = (div_v - vmass) @ grad_v + theta * penalty - np.eye(grad_v.shape[0])
+    return grad_x, vmass, v_block
+
+
+def _sparse_operator(grad_x, vmass, v_block):
+    """kron(grad_x, vmass) + kron(I, v_block) as a scipy CSR matrix."""
+    import scipy.sparse as sp
+
+    return (sp.kron(grad_x, vmass) + sp.kron(sp.identity(v_block.shape[0]), v_block)).tocsr()
+
+
+def assemble_spatial(mesh, basis, theta):
+    """Sparse spatial operator acting on the primary unknown.
+
+    grad_x (x) vmass + I (x) v_block, assembled from the factors of
+    :func:`_step_factors`.  The time steps never use it; it needs scipy,
+    which is imported on the first call.
+    """
+    return _sparse_operator(*_step_factors(mesh, basis, theta))
 
 
 @dataclass(eq=False)
 class LDGSystem:
-    """The time-step system d0 * I + spatial and its x-upwind block sweep.
+    """The time-step system d0 * I + G (x) V + I (x) B and its x-upwind block sweep.
 
     In the (i, a, J) ordering, with J = (j, b) running over nv = N * m
     v-indices, the step matrix is kron(I_N, A) + kron(S, E): A is the x-cell
@@ -160,15 +180,37 @@ class LDGSystem:
     y_i = A^{-1} r_i and lift = A^{-1} K, and the right traces
     tau_i = kron(er^T, I_nv) u_i obey tau_i = c_i + transfer tau_{i-1}, where
     c_i is the trace of y_i.  Every y_i comes from one product with the dense
-    A^{-1}, so a step makes no sparse solve.  Immutable after construction.
+    A^{-1}, and the residual is checked matrix-free from the 1D factors, so
+    a step uses numpy alone.  Immutable after construction.
+
+    `matrix` (the assembled step matrix) and `lu` (the SuperLU factors of A)
+    are built with scipy on first access, for inspection and tests only.
     """
 
-    matrix: sp.csr_matrix  # the assembled step matrix, for the residual check
-    lu: object = field(repr=False)  # sparse LU of A; forms lift, not used by a step
+    grad_x: np.ndarray = field(repr=False)  # G, shape (nv, nv)
+    vmass: np.ndarray = field(repr=False)  # V, shape (nv, nv)
+    v_block: np.ndarray = field(repr=False)  # B, shape (nv, nv)
+    d0: float
     inverse: np.ndarray = field(repr=False)  # dense A^{-1}, shape (m * nv, m * nv)
     lift: np.ndarray = field(repr=False)  # A^{-1} K, shape (m * nv, nv)
     transfer: np.ndarray = field(repr=False)  # trace of lift, shape (nv, nv)
     right: np.ndarray = field(repr=False)  # x-mode values er at the right cell edge
+
+    @cached_property
+    def matrix(self):
+        """The assembled step matrix d0 * I + spatial, in scipy CSR format."""
+        import scipy.sparse as sp
+
+        spatial = _sparse_operator(self.grad_x, self.vmass, self.v_block)
+        return (self.d0 * sp.identity(spatial.shape[0]) + spatial).tocsr()
+
+    @cached_property
+    def lu(self):
+        """SuperLU factors of the x-cell block A; no time step uses them."""
+        import scipy.sparse.linalg as spla
+
+        cell = self.lift.shape[0]
+        return spla.splu(self.matrix[:cell, :cell].tocsc())
 
     def solve(self, rhs):
         x = self._sweep(rhs)
@@ -176,7 +218,8 @@ class LDGSystem:
         # every entry below 1, so no norm overflows, and it is exact, so the
         # verdict is that of the unscaled norms wherever those are finite
         e = math.frexp(np.abs(rhs).max())[1]
-        resid = self.matrix @ x - rhs
+        resid = self._apply(x)
+        resid -= rhs
         resid = np.linalg.norm(np.ldexp(resid, -e, out=resid))
         load = max(np.linalg.norm(np.ldexp(rhs, -e)), math.ldexp(1e-30, -e))
         if not math.isfinite(resid) or resid > SOLVE_RTOL * load:
@@ -185,6 +228,14 @@ class LDGSystem:
                 % (resid / load, SOLVE_RTOL)
             )
         return x
+
+    def _apply(self, x):
+        """The step matrix times x, as d0 X + G (X V^T) + X B^T on x's (nv, nv) view."""
+        u = x.reshape(-1, self.v_block.shape[0])
+        out = self.grad_x @ (u @ self.vmass.T)
+        out += u @ self.v_block.T
+        out += self.d0 * u
+        return out.ravel()
 
     def _sweep(self, rhs):
         cell, nv = self.lift.shape
@@ -197,42 +248,54 @@ class LDGSystem:
         return y.ravel()
 
 
-def assemble_system(spatial, d0, basis):
+def assemble_system(factors, d0, basis):
     """Set up the block sweep for d0 * I + spatial once for all time steps.
 
-    The x-cell block A and the upwind coupling are read off the assembled
-    matrix: every x-cell of the uniform mesh has the same diagonal block,
-    and the columns of x-mode 0 of the upwind cell hold -er[0] K.
+    `factors` is the triple (grad_x, vmass, v_block) of dense 1D factors of
+    the spatial operator kron(grad_x, vmass) + kron(I, v_block).  Every
+    x-cell of the uniform mesh has the same diagonal block
+    A = d0 I + kron(grad_x[:m, :m], vmass) + kron(I_m, v_block), and the
+    upwind coupling is K = -kron(grad_x[m:2m, :1], vmass) / er[0].  Both are
+    formed dense, of order m * nv; no ndof-sized matrix is built.
     """
     d0 = _positive_finite(d0, "leading weight d0")
-    matrix = (d0 * sp.identity(spatial.shape[0]) + spatial).tocsr()
-    right = basis.right_values()
-    nv = math.isqrt(spatial.shape[0])
-    if nv * nv != spatial.shape[0] or nv % basis.nmodes:
+    grad_x, vmass, v_block = factors
+    m = basis.nmodes
+    nv = v_block.shape[0]
+    if nv % m or any(f.shape != (nv, nv) for f in factors):
         raise PreconditionError(
             "a spatial operator of order %d does not fit degree-%d elements"
-            % (spatial.shape[0], basis.degree)
+            % (nv * nv, basis.degree)
         )
-    cell = basis.nmodes * nv
+    cell = m * nv
+    block = np.kron(grad_x[:m, :m], vmass)
+    diagonal = block.reshape(m, nv, m, nv)
+    for a in range(m):
+        diagonal[a, :, a, :] += v_block
+    block.flat[::cell + 1] += d0
     try:
-        lu = spla.splu(matrix[:cell, :cell].tocsc())
-    except RuntimeError as exc:
-        raise SolverFailure("sparse factorization failed: %s" % (exc,)) from exc
-    inverse = np.linalg.inv(matrix[:cell, :cell].toarray())
-    if spatial.shape[0] > cell:
-        coupling = -matrix[cell:2 * cell, :nv].toarray() / right[0]
+        inverse = np.linalg.inv(block)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure("the x-cell block cannot be inverted: %s" % (exc,)) from exc
+    del block, diagonal
+    if not np.isfinite(inverse).all():
+        raise SolverFailure("the x-cell block has no finite inverse")
+    right = basis.right_values()
+    if nv > m:
+        coupling = -np.kron(grad_x[m:2 * m, :1], vmass) / right[0]
     else:
         coupling = np.zeros((cell, nv))
-    lift = lu.solve(coupling)
+    lift = inverse @ coupling
     transfer = (right @ lift.reshape(right.size, -1)).reshape(nv, nv)
     return LDGSystem(
-        matrix=matrix, lu=lu, inverse=inverse, lift=lift, transfer=transfer, right=right
+        grad_x=grad_x, vmass=vmass, v_block=v_block, d0=d0,
+        inverse=inverse, lift=lift, transfer=transfer, right=right,
     )
 
 
 def build_system(mesh, basis, d0, theta):
-    """Assemble the spatial operator and set up the step system's sweep."""
-    return assemble_system(assemble_spatial(mesh, basis, theta), d0, basis)
+    """Build the dense 1D factors and set up the step system's sweep."""
+    return assemble_system(_step_factors(mesh, basis, theta), d0, basis)
 
 
 def project_initial(g0, mesh, basis, discontinuities=()):
@@ -283,8 +346,9 @@ def _require_run_memory(n, basis, steps):
 
     Counts, in doubles, what grows with the inputs: the sampled initial data
     and load, and every stored level; with steps, also the CQ weights and
-    partial sums, the five dense 1D operators and the dense inverse of the
-    x-cell block.  Call it before allocating any of them.
+    partial sums, the five dense 1D operators with the v-block, and what
+    set-up holds at once: the x-cell block A, its inverse and lift.  Call it
+    before allocating any of them.
     """
     if not isinstance(n, Integral) or n < 1:
         return  # build_mesh names the bad resolution
@@ -292,7 +356,7 @@ def _require_run_memory(n, basis, steps):
     block = int(n) * m
     doubles = (int(n) * (m + 1)) ** 2 + (steps + 1) * block ** 2
     if steps:
-        doubles += 2 * (steps + 1) + 5 * block ** 2 + (block * m) ** 2
+        doubles += 2 * (steps + 1) + 6 * block ** 2 + 2 * (block * m) ** 2 + m * block ** 2
     require_memory(
         doubles,
         "a run of %.4g steps at N = %d, k = %d" % (steps, n, basis.degree),
@@ -358,7 +422,7 @@ def run(problem, n, k, tau, theta=1.0):
     """Solve the problem on an n x n mesh with degree-k elements and step tau.
 
     Returns the full trajectory.  T = 0 yields just the projected initial
-    state.  The step system is assembled, and its x-cell block factorized,
+    state.  The step system is set up, and its x-cell block inverted,
     exactly once.
     """
     tau = _positive_finite(tau, "time step")

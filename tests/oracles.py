@@ -294,14 +294,21 @@ def assemble_gradient(mesh, basis):
 def splu_sweep(system, rhs):
     """The x-upwind block sweep of an LDGSystem, solving with its sparse LU.
 
-    Each y_i = A^{-1} r_i comes from a SuperLU solve with the x-cell block,
-    as the package computed it before it applied the dense inverse.
+    Each y_i = A^{-1} r_i, and lift = A^{-1} K with the coupling K read off
+    the assembled step matrix, come from SuperLU solves with the x-cell
+    block, as the package computed them before it applied a dense inverse.
     """
     cell, nv = system.lift.shape
+    right = system.right
+    if system.matrix.shape[0] > cell:
+        lift = system.lu.solve(-system.matrix[cell:2 * cell, :nv].toarray() / right[0])
+    else:
+        lift = np.zeros((cell, nv))
+    transfer = (right @ lift.reshape(right.size, -1)).reshape(nv, nv)
     y = system.lu.solve(rhs.reshape(-1, cell).T)  # column i is y_i
     # row i holds c_i, then tau_i once the recurrence has passed it
-    traces = (system.right @ y.reshape(system.right.size, -1)).reshape(nv, -1).T.copy()
+    traces = (right @ y.reshape(right.size, -1)).reshape(nv, -1).T.copy()
     for i in range(1, traces.shape[0]):
-        traces[i] += system.transfer @ traces[i - 1]
-    y[:, 1:] += system.lift @ traces[:-1].T
+        traces[i] += transfer @ traces[i - 1]
+    y[:, 1:] += lift @ traces[:-1].T
     return y.T.ravel()

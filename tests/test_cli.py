@@ -1,9 +1,16 @@
 """Command-line interface: parsing, config files, exit codes, output formats."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkramers import ConfigError, SolverFailure
 from fkramers.cli import RunConfig, main, parse, render
@@ -183,6 +190,19 @@ class TestMain:
         assert main(["solve", "--N", "2", "--tau", "0.5"]) == 3
         assert "solver failure" in capsys.readouterr().err
 
+    def test_singular_cell_block_exit_three(self):
+        # theta * penalty overflows to inf, so the x-cell block has no inverse
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fkramers.cli", "solve", "--N", "4", "--theta", "1e308"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "solver failure" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_runtime_precondition_exit_four(self, capsys):
         # a 3-cell mesh misses the jump line of ex1c at x = 0.5
         code = main(["study-time", "--problem", "ex1c", "--alpha", "0.5",
@@ -197,6 +217,7 @@ class TestMain:
         ["solve", "--N", "1000000000000"],
         ["stability", "--N", "100000"],
         ["study-space", "--N-list", "4,100000"],
+        ["stability", "--N", "2", "--trials", "1000000000000"],
     ])
     def test_input_beyond_memory_exit_four(self, capsys, argv):
         # the estimate is checked before any array of that size is requested
@@ -211,6 +232,15 @@ class TestMain:
         assert "precondition violated" in err and "GiB, more than the" in err
         assert "of physical memory" in err
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("argv", [
+        ["cq-weights", "--steps", "0", "--tau", "1e-320", "--alpha", "1"],
+        ["study-space", "--k", "2", "--tau", "1e-320", "--N-list", "1,2", "--T", "1e-320",
+         "--alpha", "1"],
+    ])
+    def test_overflowing_leading_weight_exit_four(self, capsys, argv):
+        assert main(argv) == 4
+        assert "leading weight tau**-alpha overflows" in capsys.readouterr().err
 
     def test_step_count_beyond_float_exit_four(self, capsys):
         assert main(["solve", "--tau", "1e-320", "--T", "1"]) == 4
@@ -288,6 +318,56 @@ class TestMain:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+#: edge values a numeric flag is drawn from, in place of a small valid one
+EDGE_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e300", "1e308")
+EDGE_INTS = ("0", "-1", "1000000000000")
+EDGE_LISTS = ("", "0,2", "-2,4", "4,2", "2,2", "4,2,4", "2,nan", "1e300")
+
+#: per command, each flag fuzzed with its valid values and its edge values;
+#: the valid values keep a run to a few steps on a mesh of at most 4 x 4
+FUZZ_FLAGS = {
+    "solve": {"--N": (("1", "2", "4"), EDGE_INTS), "--k": (("1", "2"), EDGE_INTS),
+              "--tau": (("0.25", "0.5"), EDGE_FLOATS), "--T": (("0.25", "1"), EDGE_FLOATS)},
+    "study-time": {"--N": (("2", "4"), EDGE_INTS), "--tau-list": (("2,4", "8,4"), EDGE_LISTS),
+                   "--T": (("0.5", "1"), EDGE_FLOATS)},
+    "study-space": {"--k": (("1", "2"), EDGE_INTS), "--tau": (("0.25", "0.5"), EDGE_FLOATS),
+                    "--N-list": (("1,2", "4,2"), EDGE_LISTS), "--T": (("0.5", "1"), EDGE_FLOATS)},
+    "stability": {"--N": (("1", "2"), EDGE_INTS), "--tau": (("0.25", "0.5"), EDGE_FLOATS),
+                  "--trials": (("1", "2"), EDGE_INTS), "--seed": (("3",), EDGE_INTS),
+                  "--T": (("0.5", "1"), EDGE_FLOATS)},
+    "regularity": {"--N": (("2", "4"), EDGE_INTS), "--tau": (("0.125", "0.25"), EDGE_FLOATS),
+                   "--T": (("0.5", "1"), EDGE_FLOATS)},
+    "cq-weights": {"--steps": (("0", "3"), EDGE_INTS), "--tau": (("1", "0.5"), EDGE_FLOATS)},
+}
+SHARED_FLAGS = {"--alpha": (("0.5", "1"), EDGE_FLOATS), "--theta": (("1", "2.5"), EDGE_FLOATS)}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A command whose flags are small valid values, except one or two edge values."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = {**FUZZ_FLAGS[command], **SHARED_FLAGS}
+    edged = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command]
+    for flag, (valid, edges) in flags.items():
+        argv.append("%s=%s" % (flag, draw(st.sampled_from(edges if flag in edged else valid))))
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(fuzzed_argv())
+    def test_edge_values_exit_with_documented_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            text = out.getvalue().lower()
+            assert "nan" not in text and "inf" not in text, text
 
 
 class TestGoldenOutput:

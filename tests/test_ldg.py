@@ -5,8 +5,10 @@ form with the one-sided traces stated in the module docstring, using the
 orthonormal basis on [0, 1]: psi_0 = 1, psi_1 = sqrt(3) (2 s - 1).
 """
 
-import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -39,7 +41,7 @@ from fkramers import (
     run,
 )
 from fkramers.cli import TEMPORAL_ALPHAS
-from fkramers.ldg import _one_d_operators, as_coeffs, as_vector, march
+from fkramers.ldg import _one_d_operators, _step_factors, as_coeffs, as_vector, march
 from oracles import assemble_gradient, sparse_one_d_operators, splu_sweep
 
 SQ3 = math.sqrt(3.0)
@@ -218,15 +220,29 @@ class TestSystem:
 
     def test_nonpositive_leading_weight_rejected(self):
         basis = Basis(1)
-        spatial = assemble_spatial(build_mesh(2), basis, 1.0)
+        factors = _step_factors(build_mesh(2), basis, 1.0)
         for d0 in (0.0, -2.0, math.inf, math.nan):
             with pytest.raises(PreconditionError, match="leading weight"):
-                assemble_system(spatial, d0, basis)
+                assemble_system(factors, d0, basis)
 
     def test_spatial_operator_of_other_degree_rejected(self):
-        spatial = assemble_spatial(build_mesh(2), Basis(1), 1.0)
+        factors = _step_factors(build_mesh(2), Basis(1), 1.0)
         with pytest.raises(PreconditionError, match="degree-2"):
-            assemble_system(spatial, 1.0, Basis(2))
+            assemble_system(factors, 1.0, Basis(2))
+
+    def test_singular_cell_block_is_solver_failure(self):
+        # with G = 0 and B = -d0 I the x-cell block A is exactly zero
+        basis = Basis(1)
+        grad_x, vmass, v_block = _step_factors(build_mesh(2), basis, 1.0)
+        factors = (np.zeros_like(grad_x), vmass, -np.eye(v_block.shape[0]))
+        with pytest.raises(SolverFailure, match="cannot be inverted"):
+            assemble_system(factors, 1.0, basis)
+
+    def test_residual_is_the_assembled_matvec(self):
+        system = build_system(build_mesh(8), Basis(2), 3.0, 2.5)
+        x = np.random.default_rng(9).standard_normal(system.matrix.shape[0])
+        ref = system.matrix @ x
+        assert np.max(np.abs(system._apply(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 #: every order at which a built-in problem's temporal table is computed
@@ -263,24 +279,47 @@ class TestBlockSweep:
         # the dense inverse of the x-cell block against its sparse LU, over
         # leading weights from far below to far above the spatial operator
         basis = Basis(k)
-        spatial = assemble_spatial(build_mesh(n), basis, theta)
-        rhs = np.random.default_rng(n * 10 + k).standard_normal(spatial.shape[0])
+        factors = _step_factors(build_mesh(n), basis, theta)
+        rhs = np.random.default_rng(n * 10 + k).standard_normal(factors[0].shape[0] ** 2)
         d0s = [1e-3, 1.0, 3.7, 1e4] + [cq_weights(a, 0.01, 1).d[0] for a in TABLE_ALPHAS]
         for d0 in d0s:
-            system = assemble_system(spatial, d0, basis)
+            system = assemble_system(factors, d0, basis)
             ref = splu_sweep(system, rhs)
             got = system._sweep(rhs)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), d0
 
-    def test_step_makes_no_sparse_solve(self):
-        system = build_system(build_mesh(8), Basis(2), 3.0, 1.0)
-        rhs = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
-        without_lu = dataclasses.replace(system, lu=None)
-        assert without_lu.solve(rhs).tobytes() == system.solve(rhs).tobytes()
+    def test_run_path_imports_no_scipy(self, tmp_path):
+        # a fresh interpreter: import, one run and one CLI solve, and scipy
+        # must still be absent, so no step can make a sparse solve
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import sys\n"
+            "import fkramers\n"
+            "from fkramers import cli, get_problem, run\n"
+            "run(get_problem('ex1b', 0.5, 0.5), 4, 1, 0.125)\n"
+            "assert cli.main(['solve', '--N', '4', '--tau', '0.25', '--out', sys.argv[1]]) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "solve.csv")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_stored_doubles_below_matrix_nnz(self):
+        # what the step path keeps at N = 64, k = 2 (factors, inverse, lift,
+        # transfer) holds fewer doubles than the assembled step matrix has
+        # entries, 876,096
+        system = build_system(build_mesh(64), Basis(2), 3.0, 1.0)
+        stored = sum(v.size for v in vars(system).values() if isinstance(v, np.ndarray))
+        assert stored <= 876_096
 
     def test_setup_peak_memory(self):
-        # the held inverse (2.6 MB at N = 64, k = 2) stays below the peak of
-        # assembly, so set-up needs no more memory than with the sparse LU alone
+        # at N = 64, k = 2 set-up holds the x-cell block, LAPACK's copy of it
+        # and its inverse (2.65 MB each) and no ndof-sized matrix
         build_system(build_mesh(2), Basis(2), 3.0, 1.0)  # warm the caches
         tracemalloc.start()
         try:
@@ -288,7 +327,7 @@ class TestBlockSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2 ** 20
+        assert peak <= 12 * 2 ** 20
 
 
 def reference_march(system, weights, g0_vec, load_fn, steps):
