@@ -6,7 +6,7 @@ time stepping uses backward-Euler convolution quadrature and space is
 discretized with a local discontinuous Galerkin method on tensor meshes.
 """
 
-from .cq import CQWeights, cq_weights, history_combination
+from .cq import CQWeights, cq_weights
 from .errors import (
     ConfigError,
     InvalidResolution,
@@ -30,10 +30,8 @@ from .ldg import (
 from .mesh import (
     Basis,
     Mesh2D,
-    QuadRule,
     build_mesh,
     gauss_rule,
-    legendre_eval,
     modal_evaluate,
     modal_project,
 )
@@ -46,12 +44,7 @@ from .problems import (
     load_vector,
     require_mesh_aligned,
 )
-from .projections import (
-    Projection1D,
-    lemma_identity_residuals,
-    project_1d,
-    project_tensor,
-)
+from .projections import Projection1D, lemma_identity_residuals
 from .study import (
     ConvergenceTable,
     RegularityFit,
@@ -83,7 +76,6 @@ __all__ = [
     "PROBLEM_IDS",
     "ProblemSpec",
     "Projection1D",
-    "QuadRule",
     "RegularityFit",
     "SolverFailure",
     "Trajectory",
@@ -97,18 +89,14 @@ __all__ = [
     "field_to_csv",
     "gauss_rule",
     "get_problem",
-    "history_combination",
     "l2_error",
-    "legendre_eval",
     "lemma_identity_residuals",
     "load_vector",
     "modal_evaluate",
     "modal_project",
     "nodal_reconstruction_error",
     "nodal_values",
-    "project_1d",
     "project_initial",
-    "project_tensor",
     "rates_from_errors",
     "regularity_diagnostic",
     "run",

@@ -90,9 +90,7 @@ def _coerce(name, raw):
             return int(raw)
         if name in _FLOAT_FIELDS:
             return float(raw)
-        if name == "n_list":
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        if name == "inv_taus":
+        if name in _TUPLE_FIELDS:
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError("malformed value %r for key %r" % (raw, name)) from exc
@@ -245,10 +243,9 @@ def _default_alphas(config):
 def _emit(config, text):
     if config.out is None:
         sys.stdout.write(text)
-        return []
+        return
     with open(config.out, "w") as handle:
         handle.write(text)
-    return [config.out]
 
 
 def _note_ex2(config):
@@ -261,16 +258,12 @@ def _note_ex2(config):
 
 def _stack_tables(tables, fmt):
     if fmt == "markdown":
-        blocks = []
-        for table in tables:
-            blocks.append(table.to_markdown())
-        return "\n".join(blocks)
-    lines = ["alpha,resolution,error,rate"]
+        return "\n".join(table.to_markdown() for table in tables)
+    lines = []
     for table in tables:
-        for i, (res, err) in enumerate(zip(table.resolutions, table.errors)):
-            rate = "" if i == 0 else "%.4f" % table.rates[i - 1]
-            lines.append("%.4g,%d,%.3E,%s" % (table.alpha, res, err, rate))
-    return "\n".join(lines) + "\n"
+        head, *rows = table.to_csv().splitlines()
+        lines.extend("%.4g,%s" % (table.alpha, row) for row in rows)
+    return "\n".join(["alpha," + head] + lines) + "\n"
 
 
 def execute(config):

@@ -1,7 +1,9 @@
-"""Shared exception types for argument validation and solver failures, and the
-check that an input's arrays can fit in memory at all.
+"""Shared exception types for argument validation and solver failures, the
+check that a scalar input is positive and finite, and the check that an
+input's arrays can fit in memory at all.
 """
 
+import math
 import os
 from decimal import Decimal
 
@@ -35,11 +37,18 @@ class MeshMismatch(PreconditionError):
 
 
 class SolverFailure(RuntimeError):
-    """The x-cell block of a time step cannot be inverted, or a solve misses its residual bound."""
+    """The step system overflows or cannot be inverted, or a solve misses its residual bound."""
 
 
 class ConfigError(ValueError):
     """Malformed command line or configuration file."""
+
+
+def _positive_finite(value, name):
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise PreconditionError("%s must be positive and finite, got %r" % (name, value))
+    return value
 
 
 def require_memory(doubles, what):

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .cq import cq_weights
-from .errors import PreconditionError, SolverFailure, require_memory
+from .errors import PreconditionError, SolverFailure, _positive_finite, require_memory
 from .mesh import Basis, Mesh2D, build_mesh, gauss_rule, modal_project
 from .problems import load_vector, require_mesh_aligned
 
@@ -63,14 +63,6 @@ class DGField:
             raise PreconditionError(
                 "coefficient tensor has shape %r, expected %r" % (self.coeffs.shape, expected)
             )
-
-    def l2_norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    @classmethod
-    def zeros(cls, mesh, basis):
-        m = basis.nmodes
-        return cls(mesh, basis, np.zeros((mesh.n, mesh.n, m, m)))
 
 
 def as_vector(coeffs):
@@ -129,13 +121,6 @@ def _one_d_operators(mesh, basis):
     return grad_x, grad_v, div_v, vmass, penalty
 
 
-def _positive_finite(value, name):
-    value = float(value)
-    if not (np.isfinite(value) and value > 0.0):
-        raise PreconditionError("%s must be positive and finite, got %r" % (name, value))
-    return value
-
-
 def _step_factors(mesh, basis, theta):
     """The dense 1D factors (grad_x, vmass, v_block) of the spatial operator.
 
@@ -147,7 +132,10 @@ def _step_factors(mesh, basis, theta):
     """
     theta = _positive_finite(theta, "penalty parameter")
     grad_x, grad_v, div_v, vmass, penalty = _one_d_operators(mesh, basis)
-    v_block = (div_v - vmass) @ grad_v + theta * penalty - np.eye(grad_v.shape[0])
+    with np.errstate(over="ignore"):
+        v_block = (div_v - vmass) @ grad_v + theta * penalty - np.eye(grad_v.shape[0])
+    if not np.isfinite(v_block).all():
+        raise SolverFailure("the v-block overflows at penalty parameter %r" % (theta,))
     return grad_x, vmass, v_block
 
 
@@ -214,18 +202,23 @@ class LDGSystem:
 
     def solve(self, rhs):
         x = self._sweep(rhs)
-        # 2**e is the power of two just above max|rhs|: scaling by 2**-e keeps
-        # every entry below 1, so no norm overflows, and it is exact, so the
-        # verdict is that of the unscaled norms wherever those are finite
-        e = math.frexp(np.abs(rhs).max())[1]
         resid = self._apply(x)
         resid -= rhs
-        resid = np.linalg.norm(np.ldexp(resid, -e, out=resid))
+        # each norm is of its array scaled by 2**-e, with 2**e the power of two
+        # just above the array's largest entry: every entry is then below 1, so
+        # no norm overflows, and the scaling is exact, so the ratio is that of
+        # the unscaled norms
+        e = math.frexp(np.abs(rhs).max())[1]
+        e_resid = math.frexp(np.abs(resid).max())[1]
+        resid = np.linalg.norm(np.ldexp(resid, -e_resid, out=resid))
         load = max(np.linalg.norm(np.ldexp(rhs, -e)), math.ldexp(1e-30, -e))
-        if not math.isfinite(resid) or resid > SOLVE_RTOL * load:
+        try:
+            ratio = math.ldexp(resid / load, e_resid - e)
+        except OverflowError:
+            ratio = math.inf
+        if not ratio <= SOLVE_RTOL:
             raise SolverFailure(
-                "direct solve residual %.3e of the load norm exceeds %.1e"
-                % (resid / load, SOLVE_RTOL)
+                "direct solve residual %.3e of the load norm exceeds %.1e" % (ratio, SOLVE_RTOL)
             )
         return x
 

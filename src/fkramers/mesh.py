@@ -66,22 +66,6 @@ def legendre_deriv_table(max_degree, xi):
     return _legendre_raw_deriv(max_degree, xi) * _scale(max_degree)[:, None]
 
 
-def legendre_eval(degree, xi):
-    """Evaluate the orthonormal Legendre polynomial of the given degree.
-
-    The family is orthonormal in L2(-1, 1); degree 0 is the constant
-    1/sqrt(2).  Accepts a scalar or an array of reference coordinates.
-    """
-    if not isinstance(degree, Integral) or degree < 0:
-        raise PreconditionError("degree must be a nonnegative integer, got %r" % (degree,))
-    arr = np.asarray(xi, dtype=float)
-    assert np.all(np.abs(arr) <= 1.0 + 1e-12), "reference coordinate outside [-1, 1]"
-    values = legendre_table(int(degree), arr.ravel())[int(degree)]
-    if arr.ndim == 0:
-        return float(values[0])
-    return values.reshape(arr.shape)
-
-
 @dataclass(frozen=True)
 class Basis:
     """Tensor modal basis of degree `degree` per direction on each cell."""

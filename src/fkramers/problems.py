@@ -103,6 +103,9 @@ def example2(alpha, t_final=1.0):
     the bracketed factor times (t**alpha + 1).
     """
     alpha = _check_alpha(alpha)
+    # |bracket| <= pi**2 + 2 pi + 1 < 17.2 and gam <= 1, so f is finite up to T
+    if not math.isfinite(18.0 * (abs(float(t_final)) ** alpha + 1.0)):
+        raise PreconditionError("the source of ex2 overflows before T = %r" % (t_final,))
     gam = math.gamma(alpha + 1.0)
 
     def g0(x, v):

@@ -1,4 +1,4 @@
-"""1D and tensor projections onto polynomial spaces, plus superconvergence checks.
+"""1D projections onto polynomial spaces, plus superconvergence checks.
 
 Three 1D projections of a function u onto polynomials of degree k on an
 interval:
@@ -7,10 +7,12 @@ interval:
 * "plus":   residual orthogonal to degree k-1, exact at the left endpoint;
 * "minus":  residual orthogonal to degree k-1, exact at the right endpoint.
 
-Tensor combinations of these are what the error analysis of the scheme is
-built on; `lemma_identity_residuals` evaluates the two exactness identities
-that make the one-sided fluxes superconvergent, for polynomial inputs of
-total degree k+1.
+The error analysis of the scheme is built on their tensor combination
+Pi = P^- (x) P^+ (minus in x, plus in v); `lemma_identity_residuals` forms it
+on one cell and evaluates the two exactness identities that make the
+one-sided fluxes superconvergent, for polynomial inputs of total degree k+1.
+Both `Projection1D.apply` and the identities integrate with degree + 3 Gauss
+points per direction.
 """
 
 from __future__ import annotations
@@ -22,17 +24,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PreconditionError
-from .ldg import DGField
-from .mesh import Basis, gauss_rule, legendre_table
+from .mesh import gauss_rule, legendre_table
 
 KINDS = ("plain", "plus", "minus")
-
-#: Tensor projection ids -> (x-kind, v-kind).
-TENSOR_KINDS = {
-    "pi": ("minus", "plus"),
-    "pi_x": ("plain", "plain"),
-    "pi_v_minus": ("plain", "minus"),
-}
 
 
 @dataclass(frozen=True)
@@ -61,15 +55,11 @@ class Projection1D:
     def nmodes(self):
         return self.degree + 1
 
-    def _width(self):
-        lo, hi = self.interval
-        return hi - lo
-
     def basis_values(self, x):
         """Orthonormal modal basis of the interval evaluated at physical points."""
         lo, hi = self.interval
         xi = 2.0 * (np.asarray(x, dtype=float) - lo) / (hi - lo) - 1.0
-        return legendre_table(self.degree, xi) * np.sqrt(2.0 / self._width())
+        return legendre_table(self.degree, xi) * np.sqrt(2.0 / (hi - lo))
 
     def rows(self, q):
         """The defining functionals as (nodes, weights) pairs.
@@ -79,8 +69,8 @@ class Projection1D:
         """
         rule = gauss_rule(q)
         lo, hi = self.interval
-        nodes = lo + 0.5 * self._width() * (rule.nodes + 1.0)
-        scaled = 0.5 * self._width() * rule.weights
+        nodes = lo + 0.5 * (hi - lo) * (rule.nodes + 1.0)
+        scaled = 0.5 * (hi - lo) * rule.weights
         tab = self.basis_values(nodes)
         nmom = self.nmodes if self.kind == "plain" else self.degree
         out = [(nodes, scaled * tab[b]) for b in range(nmom)]
@@ -97,10 +87,9 @@ class Projection1D:
             mat[r] = self.basis_values(nodes) @ weights
         return mat
 
-    def apply(self, u, q=None):
+    def apply(self, u):
         """Modal coefficients of the projection of the callable u."""
-        if q is None:
-            q = self.degree + 3
+        q = self.degree + 3
         rhs = np.empty(self.nmodes)
         for r, (nodes, weights) in enumerate(self.rows(q)):
             rhs[r] = float(np.asarray(u(nodes), dtype=float) @ weights)
@@ -110,55 +99,11 @@ class Projection1D:
         return coeffs @ self.basis_values(x)
 
 
-def project_1d(kind, u, interval, k, q=None):
-    """Project the callable u onto degree-k polynomials; returns modal coefficients."""
-    return Projection1D(kind, k, tuple(interval)).apply(u, q=q)
-
-
-def project_tensor(which, u, mesh, k, q=None):
-    """Tensor projection of u(x, v) on every cell of the mesh.
-
-    `which` is one of "pi" (minus in x, plus in v), "pi_x" (plain both), or
-    "pi_v_minus" (plain in x, minus in v).  Returns a DGField.
-    """
-    if which not in TENSOR_KINDS:
-        raise PreconditionError(
-            "unknown tensor projection %r; expected one of %s"
-            % (which, ", ".join(sorted(TENSOR_KINDS)))
-        )
-    kind_x, kind_v = TENSOR_KINDS[which]
-    if q is None:
-        q = k + 3
-    basis = Basis(k)
-    m = basis.nmodes
-    coeffs = np.empty((mesh.n, mesh.n, m, m))
-    for i in range(mesh.n):
-        px = Projection1D(kind_x, k, (mesh.nodes[i], mesh.nodes[i + 1]))
-        rows_x = px.rows(q)
-        mat_x = px.condition_matrix(q)
-        for j in range(mesh.n):
-            pv = Projection1D(kind_v, k, (mesh.nodes[j], mesh.nodes[j + 1]))
-            rows_v = pv.rows(q)
-            mat_v = pv.condition_matrix(q)
-            cond = np.empty((m, m))
-            for r, (xn, xw) in enumerate(rows_x):
-                for s, (vn, vw) in enumerate(rows_v):
-                    cond[r, s] = xw @ np.asarray(u(xn[:, None], vn[None, :]), dtype=float) @ vw
-            coeffs[i, j] = np.linalg.solve(
-                mat_x, np.linalg.solve(mat_v, cond.T).T
-            )
-    return DGField(mesh, basis, coeffs)
-
-
 def _poly_total_degree(coef):
     nz = np.argwhere(np.abs(coef) > 0)
     if nz.size == 0:
         return -1
     return int((nz[:, 0] + nz[:, 1]).max())
-
-
-def _poly_partial(coef, axis):
-    return npoly.polyder(coef, axis=axis)
 
 
 def _polyval2d(x, v, coef):
@@ -168,7 +113,7 @@ def _polyval2d(x, v, coef):
     return npoly.polyval2d(x, v, coef)
 
 
-def lemma_identity_residuals(u_coef, nux_coef, nuv_coef, cell, k, q=None):
+def lemma_identity_residuals(u_coef, nux_coef, nuv_coef, cell, k):
     """Residuals of the two superconvergence identities on one cell.
 
     Arguments are 2D power-basis coefficient arrays (coef[i, j] multiplies
@@ -190,8 +135,7 @@ def lemma_identity_residuals(u_coef, nux_coef, nuv_coef, cell, k, q=None):
     if max(_poly_total_degree(nux_coef), _poly_total_degree(nuv_coef)) > k:
         raise PreconditionError("test components must have total degree at most k")
     (x_lo, x_hi), (v_lo, v_hi) = cell
-    if q is None:
-        q = k + 3
+    q = k + 3
 
     px = Projection1D("minus", k, (x_lo, x_hi))
     pv = Projection1D("plus", k, (v_lo, v_hi))
@@ -218,14 +162,14 @@ def lemma_identity_residuals(u_coef, nux_coef, nuv_coef, cell, k, q=None):
         px.basis_values(xq).T @ proj @ pv.basis_values(vq)
     )
 
-    dx_nux = _poly_partial(nux_coef, axis=0)
-    dv_nuv = _poly_partial(nuv_coef, axis=1)
+    dx_nux = npoly.polyder(nux_coef, axis=0)
+    dv_nuv = npoly.polyder(nuv_coef, axis=1)
 
     # identity 1: volume term minus vertical-face corrections
     vol1 = wx @ (err_grid * _polyval2d(xq[:, None], vq[None, :], dx_nux)) @ wv
 
     def vertical_face(x_star):
-        hat = pv.apply(lambda v: u_at(x_star, v), q=q)
+        hat = pv.apply(lambda v: u_at(x_star, v))
         diff = u_at(x_star, vq) - pv.evaluate(hat, vq)
         return float((diff * _polyval2d(x_star, vq, nux_coef)) @ wv)
 
@@ -235,7 +179,7 @@ def lemma_identity_residuals(u_coef, nux_coef, nuv_coef, cell, k, q=None):
     vol2 = wx @ (err_grid * _polyval2d(xq[:, None], vq[None, :], dv_nuv)) @ wv
 
     def horizontal_face(v_star):
-        hat = px.apply(lambda x: u_at(x, v_star), q=q)
+        hat = px.apply(lambda x: u_at(x, v_star))
         diff = u_at(xq, v_star) - px.evaluate(hat, xq)
         return float((diff * _polyval2d(xq, v_star, nuv_coef)) @ wx)
 

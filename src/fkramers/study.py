@@ -16,12 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .cq import cq_weights
-from .errors import MeshMismatch, PreconditionError
+from .errors import MeshMismatch, PreconditionError, _positive_finite
 from .ldg import (
-    DGField, _integral_steps, _positive_finite, _require_run_memory, as_vector, build_system,
-    march, run,
+    DGField, _integral_steps, _require_run_memory, as_vector, build_system, march, run,
 )
-from .mesh import Basis, build_mesh, gauss_rule, legendre_table, modal_evaluate
+from .mesh import Basis, build_mesh, cell_points, gauss_rule, legendre_table, modal_evaluate
 
 DEFAULT_RESOLUTIONS = (4, 8, 12, 16, 20)
 DEFAULT_INV_TAUS = (10, 20, 40, 80, 160)
@@ -83,22 +82,20 @@ class ConvergenceTable:
         return "\n".join([head, sep, errs, rates]) + "\n"
 
 
-def l2_error(field, other, t=None, q=None):
+def l2_error(field, other, t=None):
     """L2 distance between a discrete field and a field or callable.
 
     Field-vs-field distances are exact (orthonormal basis); a callable is
-    integrated with a Gauss rule of q points per direction (default k + 3)
-    and is called as other(x, v) or other(x, v, t) when t is given.
+    integrated with a Gauss rule of k + 3 points per direction and is called
+    as other(x, v) or other(x, v, t) when t is given.
     """
     if isinstance(other, DGField):
         if not (field.mesh.n == other.mesh.n and field.basis.degree == other.basis.degree):
             raise MeshMismatch("fields live on different discretizations")
         return float(np.linalg.norm(field.coeffs - other.coeffs))
-    if q is None:
-        q = field.basis.degree + 3
-    rule = gauss_rule(q)
+    rule = gauss_rule(field.basis.degree + 3)
     mesh = field.mesh
-    pts = (mesh.nodes[:-1, None] + 0.5 * mesh.h * (rule.nodes[None, :] + 1.0)).ravel()
+    pts = cell_points(mesh, rule.nodes).ravel()
     x = pts[:, None]
     v = pts[None, :]
     target = np.asarray(other(x, v) if t is None else other(x, v, t), dtype=float)
@@ -121,13 +118,13 @@ def _lagrange_table(k, xi):
     return table
 
 
-def nodal_values(field, mode, boundary_value=0.0):
+def nodal_values(field, mode):
     """Sample a field at the uniform global nodes, degree*N + 1 per direction.
 
     Interface nodes carry one trace per adjacent cell.  mode "average" takes
-    the arithmetic mean of the adjacent traces and then overwrites the
-    outermost nodes with `boundary_value`; mode "one_sided" keeps the trace
-    of the last cell in ascending scan order and leaves the boundary alone.
+    the arithmetic mean of the adjacent traces and then sets the outermost
+    nodes to the zero boundary value; mode "one_sided" keeps the trace of the
+    last cell in ascending scan order and leaves the boundary alone.
     """
     mesh, basis = field.mesh, field.basis
     k = basis.degree
@@ -150,7 +147,7 @@ def nodal_values(field, mode, boundary_value=0.0):
             acc[k * i:k * i + k + 1, k * j:k * j + k + 1] += vals[i, :, j, :]
             cnt[k * i:k * i + k + 1, k * j:k * j + k + 1] += 1.0
     out = acc / cnt
-    out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = boundary_value
+    out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
     return out
 
 
@@ -175,13 +172,17 @@ def nodal_reconstruction_error(field, exact, t=None):
     v = grid[None, :]
     target = np.asarray(exact(x, v) if t is None else exact(x, v, t), dtype=float)
     dif = recon - np.broadcast_to(target, recon.shape)
+    # scaled by 2**-e, the power of two just above max|dif|, so that no square
+    # below overflows; the scaling is exact
+    e = math.frexp(np.abs(dif).max())[1]
+    dif = np.ldexp(dif, -e)
     rule = gauss_rule(k + 2)
     lag = _lagrange_table(k, rule.nodes)
     idx = k * np.arange(n)[:, None] + np.arange(k + 1)[None, :]
     per_cell = dif[idx[:, None, :, None], idx[None, :, None, :]]
     quad_vals = np.einsum("ijpq,pg,qh->ijgh", per_cell, lag, lag)
     w = 0.5 * mesh.h * rule.weights
-    return float(np.sqrt(np.einsum("ijgh,g,h->", quad_vals ** 2, w, w)))
+    return math.ldexp(float(np.sqrt(np.einsum("ijgh,g,h->", quad_vals ** 2, w, w))), e)
 
 
 def temporal_study(problem, n=16, k=1, inv_taus=DEFAULT_INV_TAUS, theta=1.0):

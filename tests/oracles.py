@@ -2,19 +2,23 @@
 
 Everything here is written from the underlying definitions with plain dense
 numpy and explicit loops, on purpose: these routines cross-check the package
-without sharing any of its assembly or quadrature code paths.  The exception
-is the last section: the scipy.sparse construction of the 1D operators that
-the package used before it built them as dense arrays, kept as their
-reference, the sparse discrete gradients that hand-derived matrices are
-checked against, and the block sweep with a sparse LU of the x-cell block
-that the package used before it applied a dense inverse.
+without sharing any of its assembly or quadrature code paths.  That includes
+`history_combination`, the direct O(n) sum of the convolution-quadrature
+history of one step, which the stepping loop is compared against.  The
+exception is the last section: the scipy.sparse construction of the 1D
+operators that the package used before it built them as dense arrays, kept
+as their reference, the sparse discrete gradients that hand-derived matrices
+are checked against, and the block sweep with a sparse LU of the x-cell
+block that the package used before it applied a dense inverse.
 """
 
 import math
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
 
+from fkramers.errors import PreconditionError
 from fkramers.ldg import _one_d_operators, _reference_blocks
 
 
@@ -70,6 +74,42 @@ def caputo_derivative(w, t, alpha, h=1e-3):
     return (
         big_f(t - 2.0 * h) - 8.0 * big_f(t - h) + 8.0 * big_f(t + h) - big_f(t + 2.0 * h)
     ) / (12.0 * h)
+
+
+def history_combination(weights, past, g0, n):
+    """History contribution to the right-hand side of time step n, summed directly.
+
+    This is the O(n) reference for one step; the stepping loop
+    (`fkramers.ldg.march`) computes the same sum by blocked FFT convolution,
+    and tests compare the two.
+
+    `past` holds the solutions g^1 .. g^{n-1} (empty for n = 1); g0 is the
+    initial state.  Returns
+
+        r = -sum_{j=1}^{n-1} d_j g^{n-j} + S_{n-1} g0,
+
+    so that the step equation reads d_0 g^n + (spatial operator) g^n = r + load.
+    Works on coefficient arrays of any common shape, including scalars.
+    """
+    if not isinstance(n, Integral) or not 1 <= n <= weights.steps:
+        raise PreconditionError("step index must satisfy 1 <= n <= %d, got %r" % (weights.steps, n))
+    n = int(n)
+    g0 = np.asarray(g0, dtype=float)
+    r = weights.partial_sums[n - 1] * g0
+    if n > 1:
+        stacked = np.asarray(past, dtype=float)
+        if stacked.shape[0] != n - 1:
+            raise PreconditionError(
+                "expected %d past states, got %d" % (n - 1, stacked.shape[0])
+            )
+        if stacked.shape[1:] != g0.shape:
+            raise PreconditionError(
+                "past states of shape %r do not match g0 of shape %r"
+                % (stacked.shape[1:], g0.shape)
+            )
+        # stacked[::-1] pairs d_j with g^{n-j}, j = 1..n-1
+        r = r - np.tensordot(weights.d[1:n], stacked[::-1], axes=1)
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import contextlib
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -191,7 +194,7 @@ class TestMain:
         assert "solver failure" in capsys.readouterr().err
 
     def test_singular_cell_block_exit_three(self):
-        # theta * penalty overflows to inf, so the x-cell block has no inverse
+        # theta * penalty overflows to inf, so the v-block is not finite
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(src), os.environ.get("PYTHONPATH")) if p
@@ -202,6 +205,19 @@ class TestMain:
         )
         assert proc.returncode == 3, proc.stderr
         assert "solver failure" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("theta", ["1e300", "1e308"])
+    def test_huge_penalty_exit_three_without_warnings(self, theta, capsys):
+        # at 1e300 the residual norm would overflow, at 1e308 theta * penalty does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--N", "4", "--theta", theta]) == 3
+        err = capsys.readouterr().err
+        ratio = re.search(r"residual (\S+) of the load norm", err)
+        if ratio is None:
+            assert "v-block" in err, err
+        else:
+            assert math.isfinite(float(ratio.group(1))), err
 
     def test_runtime_precondition_exit_four(self, capsys):
         # a 3-cell mesh misses the jump line of ex1c at x = 0.5

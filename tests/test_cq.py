@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkramers import OrderOutOfRange, PreconditionError, cq_weights, history_combination
+from fkramers import OrderOutOfRange, PreconditionError, cq_weights
+from oracles import history_combination
 
 
 def binomial_series_coefficients(exponent, count):
@@ -60,7 +61,7 @@ class TestWeights:
         s = w.partial_sums
         assert np.all(s > 0.0)
         assert np.all(np.diff(s) < 0.0)
-        assert w.partial_sum(0) == pytest.approx(w.d[0], abs=0.0)
+        assert w.partial_sums[0] == pytest.approx(w.d[0], abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_partial_sums_match_binomial_series(self, alpha):
@@ -115,7 +116,7 @@ class TestHistoryCombination:
     def test_initial_state_weighting(self):
         w = cq_weights(0.5, 1.0, 4)
         r = history_combination(w, np.zeros((2,)), np.array(1.0), 3)
-        assert float(r) == pytest.approx(w.partial_sum(2), abs=1e-15)
+        assert float(r) == pytest.approx(w.partial_sums[2], abs=1e-15)
 
     def test_step_index_validated(self):
         w = cq_weights(0.5, 0.1, 3)

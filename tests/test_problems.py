@@ -118,6 +118,14 @@ class TestExample2:
             residual = caputo + v * gx - v * gv - gvv - p.exact(x, v, t) - p.f(x, v, t)
             assert abs(residual) <= 1e-8
 
+    def test_source_finite_up_to_any_accepted_final_time(self):
+        # the source grows like t**alpha times a factor below 18
+        p = example2(1.0, t_final=1e306)
+        grid = np.linspace(0.0, 1.0, 41)
+        assert np.isfinite(p.f(grid[:, None], grid[None, :], p.t_final)).all()
+        with pytest.raises(PreconditionError):
+            example2(1.0, t_final=1e308)
+
 
 class TestGetProblem:
     @pytest.mark.parametrize("pid", PROBLEM_IDS)

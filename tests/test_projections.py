@@ -1,4 +1,4 @@
-"""One-sided 1D projections, their tensor products, and the face identities.
+"""One-sided 1D projections and the face identities of their tensor product.
 
 The oracle here solves the defining moment/endpoint conditions in the plain
 monomial basis with exact monomial integrals, independently of the modal
@@ -7,17 +7,11 @@ Legendre machinery under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from fkramers import (
-    PreconditionError,
-    Projection1D,
-    build_mesh,
-    lemma_identity_residuals,
-    modal_evaluate,
-    project_1d,
-    project_tensor,
-)
+from fkramers import PreconditionError, Projection1D, build_mesh, lemma_identity_residuals
 
 
 def monomial_moment(lo, hi, m):
@@ -58,13 +52,49 @@ class TestProjection1D:
         sample = np.linspace(0.25, 0.75, 9)
         assert np.max(np.abs(proj.evaluate(coeffs, sample) - npoly.polyval(sample, u_coef))) <= 1e-12
 
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(["plain", "plus", "minus"]),
+        st.integers(1, 4),
+        st.floats(-2.0, 2.0),
+        st.floats(0.01, 4.0),
+        st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+    )
+    def test_apply_properties(self, kind, k, lo, width, raw):
+        # polynomials are written in the local variable s = (x - lo) / width
+        hi = lo + width
+        proj = Projection1D(kind, k, (lo, hi))
+
+        def poly(coef):
+            return lambda x: npoly.polyval((np.asarray(x) - lo) / width, coef)
+
+        # any degree-k polynomial is reproduced
+        exact = poly(raw[:k + 1])
+        sample = np.linspace(lo, hi, 9)
+        got = proj.evaluate(proj.apply(exact), sample)
+        assert np.max(np.abs(got - exact(sample))) <= 1e-12
+
+        # for degree k + 2, the one-sided kinds keep their endpoint value ...
+        u = poly(raw[:k + 3])
+        coeffs = proj.apply(u)
+        if kind != "plain":
+            point = lo if kind == "plus" else hi
+            assert abs(proj.evaluate(coeffs, np.array([point]))[0] - u(point)) <= 1e-12
+        # ... and the residual is orthogonal to degree k - 1, or k for "plain"
+        nodes, weights = np.polynomial.legendre.leggauss(k + 6)
+        x = lo + 0.5 * width * (nodes + 1.0)
+        resid = 0.5 * width * weights * (u(x) - proj.evaluate(coeffs, x))
+        nmom = k + 1 if kind == "plain" else k
+        moments = [resid @ ((x - lo) / width) ** j for j in range(nmom)]
+        assert np.max(np.abs(moments)) <= 1e-12 * max(1.0, width)
+
     @pytest.mark.parametrize("kind", ["plain", "plus", "minus"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_monomial_oracle(self, kind, k):
         # project x**(k+1), the lowest degree where the kinds differ
         u_coef = np.eye(1, k + 2, k + 1)[0]
         interval = (0.25, 0.75)
-        coeffs = project_1d(kind, lambda x: x ** (k + 1), interval, k)
+        coeffs = Projection1D(kind, k, interval).apply(lambda x: x ** (k + 1))
         expected = oracle_projection(kind, u_coef, interval, k)
         proj = Projection1D(kind, k, interval)
         sample = np.linspace(*interval, 11)
@@ -98,46 +128,6 @@ class TestProjection1D:
     def test_empty_interval_rejected(self):
         with pytest.raises(PreconditionError):
             Projection1D("plain", 1, (0.5, 0.5))
-
-
-class TestTensorProjections:
-    @pytest.mark.parametrize("which", ["pi", "pi_x", "pi_v_minus"])
-    def test_constant_reproduced(self, which):
-        mesh = build_mesh(3)
-        fld = project_tensor(which, lambda x, v: np.ones(np.broadcast_shapes(x.shape, v.shape)), mesh, 1)
-        rule_nodes = np.linspace(-0.9, 0.9, 4)
-        vals = modal_evaluate(fld.coeffs, mesh, fld.basis, rule_nodes)
-        assert np.max(np.abs(vals - 1.0)) <= 1e-13
-
-    @pytest.mark.parametrize("which", ["pi", "pi_x", "pi_v_minus"])
-    def test_bilinear_reproduced(self, which):
-        mesh = build_mesh(2)
-        fn = lambda x, v: (1.0 + 2.0 * x) * (3.0 - v)
-        fld = project_tensor(which, fn, mesh, 1)
-        nodes = np.linspace(-1.0, 1.0, 5)
-        vals = modal_evaluate(fld.coeffs, mesh, fld.basis, nodes)
-        from fkramers.mesh import cell_points
-
-        pts = cell_points(mesh, nodes)
-        exact = fn(pts[:, :, None, None], pts[None, None, :, :])
-        assert np.max(np.abs(vals - exact)) <= 1e-12
-
-    def test_pi_superconvergence_order(self):
-        # the projection error of a smooth function decays at order k+1
-        fn = lambda x, v: np.sin(np.pi * x) * np.sin(np.pi * v)
-        errors = []
-        for n in (4, 8, 16):
-            mesh = build_mesh(n)
-            fld = project_tensor("pi", fn, mesh, 1)
-            from fkramers import l2_error
-
-            errors.append(l2_error(fld, fn))
-        rate = np.log(errors[0] / errors[2]) / np.log(4.0)
-        assert rate == pytest.approx(2.0, abs=0.1)
-
-    def test_unknown_tensor_kind_rejected(self):
-        with pytest.raises(PreconditionError):
-            project_tensor("pi_v", lambda x, v: x + v, build_mesh(2), 1)
 
 
 class TestLemmaIdentities:

@@ -34,6 +34,10 @@ def projected(fn, n, k, q=None):
     return DGField(mesh, basis, modal_project(fn, mesh, basis, q or k + 3))
 
 
+def zero_field(n, k):
+    return DGField(build_mesh(n), Basis(k), np.zeros((n, n, k + 1, k + 1)))
+
+
 class TestRates:
     def test_halving_arithmetic(self):
         assert rates_from_errors((10, 20), (4.0, 1.0)) == (pytest.approx(2.0, abs=1e-14),)
@@ -66,18 +70,18 @@ class TestL2Error:
 
     def test_distance_to_callable(self):
         # || sin(pi x) sin(pi v) || = 1/2 over the unit square
-        zero = DGField.zeros(build_mesh(8), Basis(2))
+        zero = zero_field(8, 2)
         err = l2_error(zero, lambda x, v: np.sin(np.pi * x) * np.sin(np.pi * v))
         assert err == pytest.approx(0.5, abs=1e-10)
 
     def test_time_argument_passthrough(self):
-        zero = DGField.zeros(build_mesh(8), Basis(2))
+        zero = zero_field(8, 2)
         fn = lambda x, v, t: t * np.sin(np.pi * x) * np.sin(np.pi * v)
         assert l2_error(zero, fn, t=2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_mismatched_fields_rejected(self):
         with pytest.raises(MeshMismatch):
-            l2_error(DGField.zeros(build_mesh(2), Basis(1)), DGField.zeros(build_mesh(3), Basis(1)))
+            l2_error(zero_field(2, 1), zero_field(3, 1))
 
     def test_field_distance_is_exact(self):
         a = projected(lambda x, v: x + v, 2, 1)
@@ -94,7 +98,7 @@ class TestNodalValues:
 
     def test_average_clamps_boundary(self):
         fld = projected(lambda x, v: 1.0 + 0.0 * x * v, 2, 1)
-        vals = nodal_values(fld, "average", boundary_value=0.0)
+        vals = nodal_values(fld, "average")
         assert np.max(np.abs(vals[1:-1, 1:-1] - 1.0)) <= 1e-13
         assert np.all(vals[0, :] == 0.0) and np.all(vals[-1, :] == 0.0)
         assert np.all(vals[:, 0] == 0.0) and np.all(vals[:, -1] == 0.0)
@@ -122,7 +126,7 @@ class TestNodalValues:
         assert vals[1, 1] == pytest.approx(2.0, rel=1e-13)  # mean of 1 and 3
 
     def test_unknown_mode_rejected(self):
-        fld = DGField.zeros(build_mesh(2), Basis(1))
+        fld = zero_field(2, 1)
         with pytest.raises(PreconditionError):
             nodal_values(fld, "upwind")
 
@@ -151,9 +155,17 @@ class TestNodalReconstructionError:
         # for the zero field the measure is the norm of the exact function's
         # nodal interpolant, not of the function itself
         fn = lambda x, v: np.sin(np.pi * x) * np.sin(np.pi * v)
-        zero = DGField.zeros(build_mesh(4), Basis(1))
+        zero = zero_field(4, 1)
         err = nodal_reconstruction_error(zero, fn)
         assert 0.4 <= err <= 0.6  # close to ||fn|| = 1/2 but not equal
+
+    def test_huge_values_do_not_overflow(self):
+        # the squares of values near 2**1000 overflow; the error scales exactly
+        fn = lambda x, v: np.sin(np.pi * x) * np.sin(np.pi * v)
+        big = lambda x, v: 2.0 ** 1000 * fn(x, v)
+        zero = zero_field(4, 2)
+        err = nodal_reconstruction_error(zero, fn)
+        assert nodal_reconstruction_error(zero, big) == 2.0 ** 1000 * err
 
 
 class TestTemporalStudy:
