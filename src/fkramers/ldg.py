@@ -24,6 +24,12 @@ The step path keeps only the dense 1D factors G, V, B and arrays of order at
 most (k + 1)^2 N, and uses numpy alone; scipy is imported only to build the
 assembled sparse operator on request (`assemble_spatial`, `LDGSystem.matrix`
 and `LDGSystem.lu`).
+
+Time stepping (`march`) sums the convolution-quadrature history over blocks
+of HISTORY_BLOCK steps: directly, by one Toeplitz product per block, for the
+lags within HISTORY_WINDOW, and by sum-of-exponentials accumulators beyond
+it, so a run costs O(steps (HISTORY_WINDOW + nodes)) vector operations and
+keeps every level plus one accumulator per exponential.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cq import cq_weights
+from .cq import SOE_CUTOFF, SOE_JACOBI_POINTS, SOE_PANEL_POINTS, cq_weights, soe_rule
 from .errors import PreconditionError, SolverFailure, _positive_finite, require_memory
 from .mesh import Basis, Mesh2D, build_mesh, gauss_rule, modal_project
 from .problems import load_vector, require_mesh_aligned
@@ -334,14 +340,33 @@ def _integral_steps(t_final, tau):
     return int(steps)
 
 
+#: Steps per block of the history engine: the lags from before a block enter
+#: it in a few GEMMs, those inside it step by step.
+HISTORY_BLOCK = 16
+
+#: Lags up to HISTORY_WINDOW are summed directly; longer ones come from the
+#: sum-of-exponentials accumulators.  A run of at most HISTORY_WINDOW +
+#: HISTORY_BLOCK steps, every table run included, never reaches them.  A
+#: multiple of HISTORY_BLOCK, so the accumulators advance a whole block.
+HISTORY_WINDOW = 320
+
+#: Bytes allowed per temporary of one column chunk of the far field.
+FAR_CHUNK_BYTES = 1 << 17
+
+#: Most time steps of one run; the sum-of-exponentials rule is verified up to here.
+MAX_STEPS = 10 ** 6
+
+
 def _require_run_memory(n, basis, steps):
-    """Raise PreconditionError if a run's arrays cannot fit in physical memory.
+    """Raise PreconditionError if a run's arrays cannot fit in physical memory,
+    or if it has more than MAX_STEPS steps.
 
     Counts, in doubles, what grows with the inputs: the sampled initial data
     and load, and every stored level; with steps, also the CQ weights and
-    partial sums, the five dense 1D operators with the v-block, and what
-    set-up holds at once: the x-cell block A, its inverse and lift.  Call it
-    before allocating any of them.
+    partial sums, the five dense 1D operators with the v-block, what set-up
+    holds at once: the x-cell block A, its inverse and lift, and the block of
+    near-field weights; past the history window, the far-field accumulators,
+    one level per node of `soe_rule`.  Call it before allocating any of them.
     """
     if not isinstance(n, Integral) or n < 1:
         return  # build_mesh names the bad resolution
@@ -350,17 +375,19 @@ def _require_run_memory(n, basis, steps):
     doubles = (int(n) * (m + 1)) ** 2 + (steps + 1) * block ** 2
     if steps:
         doubles += 2 * (steps + 1) + 6 * block ** 2 + 2 * (block * m) ** 2 + m * block ** 2
+        doubles += HISTORY_BLOCK * HISTORY_WINDOW
+    if steps > HISTORY_WINDOW + HISTORY_BLOCK:
+        # log2 of the int steps, which may exceed the float range
+        panels = math.ceil(math.log2(steps) + math.log2(SOE_CUTOFF / (HISTORY_WINDOW - 1)))
+        doubles += (SOE_JACOBI_POINTS + SOE_PANEL_POINTS * panels) * block ** 2
     require_memory(
         doubles,
         "a run of %.4g steps at N = %d, k = %d" % (steps, n, basis.degree),
     )
-
-
-#: Size of the base blocks whose history is summed directly.
-HISTORY_BLOCK = 16
-
-#: Bytes allowed per temporary of one FFT column chunk.
-FFT_CHUNK_BYTES = 1 << 18
+    if steps > MAX_STEPS:
+        raise PreconditionError(
+            "a run of %d steps is more than the limit of %d" % (steps, MAX_STEPS)
+        )
 
 
 def march(system, weights, g0_vec, load_fn, steps):
@@ -368,47 +395,83 @@ def march(system, weights, g0_vec, load_fn, steps):
 
     load_fn(n) must return the raveled load at t_n, or None when source-free.
 
-    The history sum -sum_{j=1}^{n-1} d_j g^{n-j} is the blocked lower-triangular
-    Toeplitz convolution of Hairer, Lubich & Schlichte (SISC 6, 1985).  Lags
-    inside the current base block of HISTORY_BLOCK steps are summed directly.
-    When step m closes an odd-numbered block of size L = HISTORY_BLOCK * 2**l,
-    one length-2L real FFT adds that block's contribution to rows m+1 .. m+L,
-    which are not yet solved and so serve as the accumulator.  This costs
-    O(steps * log(steps)**2 * ndof) time; storage is the returned array plus
-    FFT temporaries of about FFT_CHUNK_BYTES each.
+    The history sum -sum_{j=1}^{n-1} d_j g^{n-j} is taken over blocks of
+    HISTORY_BLOCK steps.  Before a block is solved, its rows of the returned
+    array, not yet solved, receive the lags from before the block and so
+    serve as the accumulator:
+
+    - lags up to HISTORY_WINDOW (plus the block's offset) from one Toeplitz
+      GEMM of the weights with the stored levels;
+    - longer lags from the sum-of-exponentials rule d_j ~ sum_l c_l e^{-j x_l}
+      of :func:`fkramers.cq.soe_rule`, as in fast oblivious convolution
+      quadrature (Schaedle, Lopez-Fernandez & Lubich, SISC 28, 2006): one
+      accumulator row per node holds sum_i e^{-(p-i) x_l} g^i over the levels
+      up to p = lo - HISTORY_WINDOW - 1 for the block starting at lo, is
+      advanced by one GEMM per block and read out by another.
+
+    Lags inside the block are summed directly at each step, and the row then
+    holds the step's right-hand side until the solution replaces it.  At
+    alpha = 1 the weights vanish beyond lag 1, so no accumulator is kept.
+    Storage is the returned array, the accumulators (one row of ndof per
+    node), far-field temporaries of at most FAR_CHUNK_BYTES each and a few
+    vectors of one step's solve.
     """
     d = weights.d
     s = weights.partial_sums
     levels = np.zeros((steps + 1, g0_vec.size))
     levels[0] = g0_vec
-    for n in range(1, steps + 1):
-        b0 = n - (n - 1) % HISTORY_BLOCK
-        rhs = s[n - 1] * g0_vec - levels[n]
-        if n > b0:
-            rhs -= d[n - b0:0:-1] @ levels[b0:n]
-        extra = load_fn(n)
-        if extra is not None:
-            rhs = rhs + extra
-        levels[n] = system.solve(rhs)
-        if n % HISTORY_BLOCK == 0 and n < steps:
-            # n closes an odd-numbered block whose size is n's lowest set bit
-            _add_block_history(levels, d, n, n & -n)
+    far = None
+    if weights.alpha < 1.0 and steps > HISTORY_WINDOW + HISTORY_BLOCK:
+        far = _FarField(weights, steps, g0_vec.size)
+    # near[r, c] = d[W + r - c], the weight from column c of a window to row r
+    near = d[np.minimum(np.subtract.outer(np.arange(HISTORY_BLOCK), np.arange(HISTORY_WINDOW))
+                        + HISTORY_WINDOW, steps)]
+    for lo in range(1, steps + 1, HISTORY_BLOCK):
+        hi = min(lo + HISTORY_BLOCK, steps + 1)
+        first = max(1, lo - HISTORY_WINDOW)
+        if lo > first:
+            np.matmul(near[:hi - lo, first - lo:], levels[first:lo], out=levels[lo:hi])
+        if far is not None:
+            far.add(levels, lo, hi)
+        for n in range(lo, hi):
+            rhs = levels[n]  # the accumulated history becomes the right-hand side
+            np.subtract(s[n - 1] * g0_vec, rhs, out=rhs)
+            if n > lo:
+                rhs -= d[n - lo:0:-1] @ levels[lo:n]
+            extra = load_fn(n)
+            if extra is not None:
+                rhs += extra
+            levels[n] = system.solve(rhs)
     return levels
 
 
-def _add_block_history(levels, d, m, size):
-    """Add the lags from levels[m-size+1 .. m] to rows m+1 .. m+size of levels."""
-    nfft = 2 * size
-    kernel = np.fft.rfft(d[1:nfft], nfft)
-    rows = min(size, levels.shape[0] - 1 - m)
-    block = levels[m - size + 1:m + 1]
-    width = max(1, FFT_CHUNK_BYTES // (8 * nfft))
-    for c0 in range(0, levels.shape[1], width):
-        c1 = c0 + width
-        spec = np.fft.rfft(block[:, c0:c1], nfft, axis=0)
-        spec *= kernel[:, None]
-        conv = np.fft.irfft(spec, nfft, axis=0)
-        levels[m + 1:m + 1 + rows, c0:c1] += conv[size - 1:size - 1 + rows]
+class _FarField:
+    """Sum-of-exponentials accumulators for the lags beyond HISTORY_WINDOW."""
+
+    def __init__(self, weights, steps, ndof):
+        x, c = soe_rule(weights.alpha, steps, HISTORY_WINDOW)
+        r = np.arange(HISTORY_BLOCK)
+        self.decay = np.exp(-HISTORY_BLOCK * x)
+        # enter[l, r] weights level p - B + 1 + r on entering accumulator l
+        self.enter = np.exp(-np.outer(x, HISTORY_BLOCK - 1 - r))
+        # read[r, l]: accumulator l's share of row lo + r, lag lo + r - p = W + 1 + r
+        self.read = (weights.d[0] * c) * np.exp(-np.outer(HISTORY_WINDOW + 1 + r, x))
+        self.acc = np.zeros((x.size, ndof))
+        self.width = max(1, FAR_CHUNK_BYTES // (8 * max(x.size, HISTORY_BLOCK)))
+
+    def add(self, levels, lo, hi):
+        """Advance the accumulators to p = lo - W - 1, then add them to rows lo .. hi-1."""
+        p = lo - HISTORY_WINDOW - 1
+        if p < 1:
+            return
+        entering = levels[p - HISTORY_BLOCK + 1:p + 1]
+        read = self.read[:hi - lo]
+        self.acc *= self.decay[:, None]
+        for c0 in range(0, self.acc.shape[1], self.width):
+            cols = slice(c0, c0 + self.width)
+            acc = self.acc[:, cols]
+            acc += self.enter @ entering[:, cols]
+            levels[lo:hi, cols] += read @ acc
 
 
 def run(problem, n, k, tau, theta=1.0):

@@ -80,8 +80,9 @@ def history_combination(weights, past, g0, n):
     """History contribution to the right-hand side of time step n, summed directly.
 
     This is the O(n) reference for one step; the stepping loop
-    (`fkramers.ldg.march`) computes the same sum by blocked FFT convolution,
-    and tests compare the two.
+    (`fkramers.ldg.march`) computes the same sum blockwise, directly within a
+    window of lags and by a sum-of-exponentials rule beyond it, and tests
+    compare the two.
 
     `past` holds the solutions g^1 .. g^{n-1} (empty for n = 1); g0 is the
     initial state.  Returns

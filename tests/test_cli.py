@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -261,6 +262,33 @@ class TestMain:
     def test_step_count_beyond_float_exit_four(self, capsys):
         assert main(["solve", "--tau", "1e-320", "--T", "1"]) == 4
         assert "more steps of 1e-320 than a float can count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--N", "1"],
+        ["study-space", "--N-list", "1,2"],
+        ["stability", "--N", "1"],
+    ])
+    def test_step_count_beyond_limit_exit_four(self, capsys, argv):
+        # 1e308 / 1e300 = 1e8 steps fit in the memory of a 1 x 1 mesh, but no
+        # run of them could finish; they are refused before anything
+        # step-sized is allocated
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(argv + ["--T", "1e308", "--tau", "1e300"])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "precondition violated" in err
+        # a host with less than the 3 GiB of levels names its memory instead
+        assert "100000000 steps is more than the limit of 1000000" in err or (
+            "of physical memory" in err
+        )
+        assert elapsed < 1.0
+        assert peak < 2 ** 20
 
     def test_projection_dump_at_time_zero(self, capsys):
         assert main(["solve", "--N", "2", "--T", "0"]) == 0

@@ -1,13 +1,16 @@
-"""Convolution-quadrature weights and history recombination."""
+"""Convolution-quadrature weights, their sum-of-exponentials rule, and history recombination."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkramers import OrderOutOfRange, PreconditionError, cq_weights
+from fkramers.cq import soe_rule
+from fkramers.ldg import HISTORY_WINDOW
 from oracles import history_combination
 
 
@@ -150,3 +153,35 @@ class TestConsistency:
         rate = math.log(errs[0] / errs[-1]) / math.log(4.0)
         assert rate >= 0.9
         assert errs[-1] < errs[0]
+
+
+class TestSoeRule:
+    """The sum-of-exponentials rule against the weights in 40-digit arithmetic.
+
+    d_j / d_0 = Gamma(j - alpha) / (Gamma(-alpha) Gamma(j + 1)).  j - alpha is
+    formed in mpmath: formed in float, its rounding, amplified by Gamma,
+    would put the reference itself off by up to 7e-12 at j = 10^4.
+    """
+
+    @pytest.mark.parametrize("steps", [HISTORY_WINDOW + 2, 2000, 10 ** 4, 10 ** 6])
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.8, 0.999])
+    def test_matches_exact_weights(self, alpha, steps):
+        nodes, coeffs = soe_rule(alpha, steps, HISTORY_WINDOW)
+        lags = np.random.default_rng(steps).integers(HISTORY_WINDOW + 1, steps + 1, 40)
+        lags = np.unique(np.concatenate([[HISTORY_WINDOW + 1, HISTORY_WINDOW + 2, steps], lags]))
+        a = mpmath.mpf(alpha)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for j in lags:
+                got = float(np.sum(coeffs * np.exp(-float(j) * nodes)))
+                ref = mpmath.gamma(mpmath.mpf(int(j)) - a) / (
+                    mpmath.gamma(-a) * mpmath.gamma(mpmath.mpf(int(j)) + 1)
+                )
+                worst = max(worst, float(abs(got / ref - 1)))
+        assert worst <= 5e-15
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999])
+    def test_coefficients_negative_and_nodes_positive(self, alpha):
+        nodes, coeffs = soe_rule(alpha, 2000, HISTORY_WINDOW)
+        assert nodes.shape == coeffs.shape
+        assert np.all(nodes > 0.0) and np.all(coeffs < 0.0)

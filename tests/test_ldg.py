@@ -40,7 +40,16 @@ from fkramers import (
     run,
 )
 from fkramers.cli import TEMPORAL_ALPHAS
-from fkramers.ldg import _one_d_operators, _step_factors, as_coeffs, as_vector, march
+from fkramers.cq import soe_rule
+from fkramers.ldg import (
+    HISTORY_BLOCK,
+    HISTORY_WINDOW,
+    _one_d_operators,
+    _step_factors,
+    as_coeffs,
+    as_vector,
+    march,
+)
 from oracles import assemble_gradient, history_combination, sparse_one_d_operators, splu_sweep
 
 SQ3 = math.sqrt(3.0)
@@ -345,9 +354,10 @@ def reference_march(system, weights, g0_vec, load_fn, steps):
 def assert_levels_close(got, ref, rtol):
     """Every level agrees to rtol relative to the largest reference level so far.
 
-    FFT rounding in a history sum scales with the levels that enter it, so a
-    solution that decays by orders of magnitude (alpha = 1 decays
-    exponentially) is matched relative to its earlier levels, not its own.
+    Rounding in a history sum, and the error of the sum-of-exponentials rule,
+    scale with the levels that enter it, so a solution that decays by orders
+    of magnitude (alpha = 1 decays exponentially) is matched relative to its
+    earlier levels, not its own.
     """
     assert got.shape == ref.shape
     scale = np.maximum.accumulate(np.linalg.norm(ref, axis=1))
@@ -356,8 +366,8 @@ def assert_levels_close(got, ref, rtol):
 
 
 class TestHistoryEngine:
-    # block boundaries of the 16-step base blocks and of the dyadic FFT
-    # tiling, plus runs whose last block is clipped
+    # the near field only: block boundaries, plus runs whose last block is
+    # clipped
     @pytest.mark.parametrize("steps", [1, 15, 16, 17, 31, 32, 33, 48, 100, 257])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
     def test_matches_direct_sum(self, alpha, steps):
@@ -372,7 +382,7 @@ class TestHistoryEngine:
 
     @pytest.mark.parametrize("problem_id", ["ex1b", "ex1c"])
     def test_long_run_matches_direct_sum(self, problem_id):
-        # 2000 steps reach FFT blocks of 1024 lags; ex1c also carries a load
+        # 2000 steps reach the far field for most lags; ex1c also carries a load
         problem = get_problem(problem_id, 0.5)
         tau = problem.t_final / 2000
         traj = run(problem, 4, 1, tau)
@@ -391,9 +401,36 @@ class TestHistoryEngine:
         got = np.array([as_vector(fld.coeffs) for fld in traj.fields])
         assert_levels_close(got, ref, 1e-10)
 
+    # the last run without the far field, the first ones with it (first far
+    # block at HISTORY_WINDOW + HISTORY_BLOCK + 1), and one with many far blocks
+    @pytest.mark.parametrize("steps", [
+        HISTORY_WINDOW, HISTORY_WINDOW + 1, HISTORY_WINDOW + 2,
+        HISTORY_WINDOW + HISTORY_BLOCK + 1, 3 * HISTORY_WINDOW + 5,
+    ])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999, 1.0])
+    def test_far_field_matches_direct_sum(self, alpha, steps):
+        weights = cq_weights(alpha, 0.01, steps)
+        system = build_system(build_mesh(2), Basis(1), weights.d[0], 1.0)
+        g0 = np.random.default_rng(steps).standard_normal(16)
+        got = march(system, weights, g0, lambda n: None, steps)
+        ref = reference_march(system, weights, g0, lambda n: None, steps)
+        assert_levels_close(got, ref, 1e-12)
+
+    def test_far_field_with_load_matches_direct_sum(self):
+        steps = 3 * HISTORY_WINDOW + 5
+        weights = cq_weights(0.5, 0.01, steps)
+        system = build_system(build_mesh(2), Basis(1), weights.d[0], 1.0)
+        rng = np.random.default_rng(7)
+        g0 = rng.standard_normal(16)
+        loads = rng.standard_normal((steps + 1, 16))
+        got = march(system, weights, g0, lambda n: loads[n], steps)
+        ref = reference_march(system, weights, g0, lambda n: loads[n], steps)
+        assert_levels_close(got, ref, 1e-12)
+
     def test_peak_memory_close_to_levels(self):
         # the unsolved rows of the returned array are the accumulator, and the
-        # FFTs run over column chunks, so no second full-size buffer appears
+        # far field runs over column chunks, so no second full-size buffer
+        # appears
         steps = 2000
         weights = cq_weights(0.5, 1.0 / steps, steps)
         system = build_system(build_mesh(16), Basis(1), weights.d[0], 1.0)
@@ -405,6 +442,34 @@ class TestHistoryEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * levels.nbytes
+
+    @staticmethod
+    def _march_peak(n, k, steps):
+        weights = cq_weights(0.5, 1.0 / steps, steps)
+        system = build_system(build_mesh(n), Basis(k), weights.d[0], 1.0)
+        g0 = np.random.default_rng(1).standard_normal((n * (k + 1)) ** 2)
+        tracemalloc.start()
+        try:
+            levels = march(system, weights, g0, lambda m: None, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return levels, peak
+
+    def test_near_field_allocates_no_block_of_levels(self):
+        # a fine mesh over a few blocks: the near field writes into the
+        # returned array, so past it only a step's vectors are allocated
+        levels, peak = self._march_peak(64, 2, 50)
+        assert peak <= levels.nbytes + 2 ** 20
+
+    def test_far_field_peak_memory(self):
+        # past the returned array: the accumulators, one level per node, and
+        # chunk temporaries of at most FAR_CHUNK_BYTES
+        steps = 2000
+        levels, peak = self._march_peak(16, 1, steps)
+        nodes = soe_rule(0.5, steps, HISTORY_WINDOW)[0].size
+        ndof = levels.shape[1]
+        assert peak <= levels.nbytes + (nodes + HISTORY_BLOCK) * ndof * 8 + 2 ** 18
 
 
 class TestRun:
