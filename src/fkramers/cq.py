@@ -39,7 +39,8 @@ def cq_weights(alpha, tau, steps):
 
     d_0 > 0 and every later weight is negative; the partial sums decrease
     monotonically to 0, which is what keeps the history recombination of the
-    stepping loop well behaved for long runs.
+    stepping loop well behaved for long runs.  At most MAX_STEPS steps are
+    accepted; an input beyond memory is named as such first.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -49,6 +50,10 @@ def cq_weights(alpha, tau, steps):
         raise PreconditionError("step count must be a nonnegative integer, got %r" % (steps,))
     steps = int(steps)
     require_memory(2 * (steps + 1), "the CQ weights of %d steps" % steps)
+    if steps > MAX_STEPS:
+        raise PreconditionError(
+            "the CQ weights of %d steps are more than the limit of %d" % (steps, MAX_STEPS)
+        )
     try:
         lead = tau ** (-alpha)
     except OverflowError:
@@ -61,6 +66,9 @@ def cq_weights(alpha, tau, steps):
         d[j] = d[j - 1] * (j - 1 - alpha) / j
     return CQWeights(alpha=alpha, tau=tau, steps=steps, d=d, partial_sums=np.cumsum(d))
 
+
+#: Most time steps of one run, and most CQ weights; `soe_rule` is verified up to here.
+MAX_STEPS = 10 ** 6
 
 #: Points of the Gauss-Jacobi rule on [0, 1/steps] and of the Gauss-Legendre
 #: rule on each dyadic panel beyond it.

@@ -18,13 +18,17 @@ velocity weight, and B gathers v-transport, diffusion, penalty and the shift.
 G is block lower bidiagonal over the x-cells with equal diagonal blocks, so
 each time step is solved exactly by an x-upwind block sweep (Reed & Hill,
 1973): the dense inverse of a single x-cell block, formed once per run,
-applied to all cells in one matrix product, then a recurrence over the cell
-traces in the flow direction and one more product for the upwind coupling.
+applied to all cells in one matrix product, then the linear recurrence over
+the cell traces in the flow direction, solved by a doubling scan of
+ceil(log2 N) products (Hillis & Steele, 1986; Blelloch, 1990), and one more
+product for the upwind coupling.
 The step path keeps only the dense 1D factors G, V, B and arrays of order at
 most (k + 1)^2 N, and uses numpy alone; scipy is imported only to build the
 assembled sparse operator on request (`assemble_spatial`, `LDGSystem.matrix`
 and `LDGSystem.lu`).
 
+The source is projected once per run, one array per separable term
+(`load_vector`), so the load of a step is one small matrix-vector product.
 Time stepping (`march`) sums the convolution-quadrature history over blocks
 of HISTORY_BLOCK steps: directly, by one Toeplitz product per block, for the
 lags within HISTORY_WINDOW, and by sum-of-exponentials accumulators beyond
@@ -42,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cq import SOE_CUTOFF, SOE_JACOBI_POINTS, SOE_PANEL_POINTS, cq_weights, soe_rule
+from .cq import MAX_STEPS, SOE_CUTOFF, SOE_JACOBI_POINTS, SOE_PANEL_POINTS, cq_weights, soe_rule
 from .errors import PreconditionError, SolverFailure, _positive_finite, require_memory
 from .mesh import Basis, Mesh2D, build_mesh, gauss_rule, modal_project
 from .problems import load_vector, require_mesh_aligned
@@ -172,10 +176,13 @@ class LDGSystem:
     to the upwind cell, where K = (2/h) kron(el, V).  Hence the cells are
     solved in the flow direction by u_i = y_i + lift tau_{i-1}, with
     y_i = A^{-1} r_i and lift = A^{-1} K, and the right traces
-    tau_i = kron(er^T, I_nv) u_i obey tau_i = c_i + transfer tau_{i-1}, where
-    c_i is the trace of y_i.  Every y_i comes from one product with the dense
-    A^{-1}, and the residual is checked matrix-free from the 1D factors, so
-    a step uses numpy alone.  Immutable after construction.
+    tau_i = kron(er^T, I_nv) u_i obey tau_i = c_i + T tau_{i-1}, where c_i is
+    the trace of y_i and T the trace of lift.  Every y_i comes from one
+    product with the dense A^{-1}; the recurrence is solved by the doubling
+    scan of :func:`_trace_scan` with the stored powers (T^T)^(2^p), and the
+    residual is checked matrix-free from the 1D factors, so a step is a
+    fixed handful of products that use numpy alone.  Immutable after
+    construction.
 
     `matrix` (the assembled step matrix) and `lu` (the SuperLU factors of A)
     are built with scipy on first access, for inspection and tests only.
@@ -187,7 +194,7 @@ class LDGSystem:
     d0: float
     inverse: np.ndarray = field(repr=False)  # dense A^{-1}, shape (m * nv, m * nv)
     lift: np.ndarray = field(repr=False)  # A^{-1} K, shape (m * nv, nv)
-    transfer: np.ndarray = field(repr=False)  # trace of lift, shape (nv, nv)
+    powers: np.ndarray = field(repr=False)  # (T^T)^(2^p), shape (ceil(log2 N), nv, nv)
     right: np.ndarray = field(repr=False)  # x-mode values er at the right cell edge
 
     @cached_property
@@ -239,12 +246,39 @@ class LDGSystem:
     def _sweep(self, rhs):
         cell, nv = self.lift.shape
         y = rhs.reshape(-1, cell) @ self.inverse.T  # row i is y_i
-        # row i holds c_i, then tau_i once the recurrence has passed it
-        traces = self.right @ y.reshape(y.shape[0], self.right.size, nv)
-        for i in range(1, traces.shape[0]):
-            traces[i] += self.transfer @ traces[i - 1]
+        # row i holds c_i, then tau_i once the scan has passed it
+        traces = _trace_scan(self.right @ y.reshape(y.shape[0], self.right.size, nv),
+                             self.powers)
         y[1:] += traces[:-1] @ self.lift.T
         return y.ravel()
+
+
+def _doubling_powers(transfer_t, n):
+    """The powers transfer_t^(2^p) for p < ceil(log2 n), stacked; (0, nv, nv) at n = 1."""
+    count = (n - 1).bit_length()
+    powers = np.empty((count,) + transfer_t.shape)
+    if count:
+        powers[0] = transfer_t
+    for p in range(1, count):
+        np.matmul(powers[p - 1], powers[p - 1], out=powers[p])
+    return powers
+
+
+def _trace_scan(traces, powers):
+    """Solve tau_i = c_i + tau_{i-1} P for the rows of `traces`, in place.
+
+    Row i holds c_i on entry and tau_i on return, with tau_0 = c_0 and
+    powers[p] = P^(2^p).  After the pass with shift s = 2^p every row holds
+    the sum of its last 2s terms c_{i-j} P^j; the right-hand side of each
+    pass is formed before the update, so rows read the previous pass
+    (Hillis & Steele, CACM 29, 1986).  Exact: ceil(log2 N) passes reach
+    every j < N.
+    """
+    s = 1
+    for power in powers:
+        traces[s:] += traces[:-s] @ power
+        s *= 2
+    return traces
 
 
 def assemble_system(factors, d0, basis):
@@ -288,7 +322,7 @@ def assemble_system(factors, d0, basis):
     transfer = (right @ lift.reshape(right.size, -1)).reshape(nv, nv)
     return LDGSystem(
         grad_x=grad_x, vmass=vmass, v_block=v_block, d0=d0,
-        inverse=inverse, lift=lift, transfer=transfer, right=right,
+        inverse=inverse, lift=lift, powers=_doubling_powers(transfer.T, nv // m), right=right,
     )
 
 
@@ -353,20 +387,19 @@ HISTORY_WINDOW = 320
 #: Bytes allowed per temporary of one column chunk of the far field.
 FAR_CHUNK_BYTES = 1 << 17
 
-#: Most time steps of one run; the sum-of-exponentials rule is verified up to here.
-MAX_STEPS = 10 ** 6
 
-
-def _require_run_memory(n, basis, steps):
+def _require_run_memory(n, basis, steps, terms=0):
     """Raise PreconditionError if a run's arrays cannot fit in physical memory,
     or if it has more than MAX_STEPS steps.
 
     Counts, in doubles, what grows with the inputs: the sampled initial data
-    and load, and every stored level; with steps, also the CQ weights and
-    partial sums, the five dense 1D operators with the v-block, what set-up
-    holds at once: the x-cell block A, its inverse and lift, and the block of
-    near-field weights; past the history window, the far-field accumulators,
-    one level per node of `soe_rule`.  Call it before allocating any of them.
+    or source factor, and every stored level; with steps, also the CQ
+    weights and partial sums, the five dense 1D operators with the v-block,
+    what set-up holds at once: the x-cell block A, its inverse and lift, the
+    ceil(log2 n) powers of the trace scan, and the block of near-field
+    weights; the projections of the `terms` source factors, one level each;
+    past the history window, the far-field accumulators, one level per node
+    of `soe_rule`.  Call it before allocating any of them.
     """
     if not isinstance(n, Integral) or n < 1:
         return  # build_mesh names the bad resolution
@@ -375,6 +408,7 @@ def _require_run_memory(n, basis, steps):
     doubles = (int(n) * (m + 1)) ** 2 + (steps + 1) * block ** 2
     if steps:
         doubles += 2 * (steps + 1) + 6 * block ** 2 + 2 * (block * m) ** 2 + m * block ** 2
+        doubles += (int(n) - 1).bit_length() * block ** 2 + terms * block ** 2
         doubles += HISTORY_BLOCK * HISTORY_WINDOW
     if steps > HISTORY_WINDOW + HISTORY_BLOCK:
         # log2 of the int steps, which may exceed the float range
@@ -478,14 +512,16 @@ def run(problem, n, k, tau, theta=1.0):
     """Solve the problem on an n x n mesh with degree-k elements and step tau.
 
     Returns the full trajectory.  T = 0 yields just the projected initial
-    state.  The step system is set up, and its x-cell block inverted,
-    exactly once.
+    state.  The step system is set up, its x-cell block inverted and each
+    source factor projected exactly once; the load of step n is then
+    sum_k a_k(t_n) P_k.
     """
     tau = _positive_finite(tau, "time step")
     theta = _positive_finite(theta, "penalty parameter")
     basis = Basis(k)
     steps = _integral_steps(problem.t_final, tau)
-    _require_run_memory(n, basis, steps)
+    terms = problem.source_terms
+    _require_run_memory(n, basis, steps, len(terms))
     mesh = build_mesh(n)
     g0_field = project_initial(
         problem.g0, mesh, basis, discontinuities=problem.discontinuities
@@ -499,11 +535,15 @@ def run(problem, n, k, tau, theta=1.0):
     weights = cq_weights(problem.alpha, tau, steps)
     system = build_system(mesh, basis, weights.d[0], theta)
 
-    if problem.f is None:
+    if not terms:
         load_fn = lambda n_: None
     else:
+        # one row per source term: its factor's projection, projected once
+        factors = np.stack([as_vector(p) for p in load_vector(problem, mesh, basis)])
+
         def load_fn(n_):
-            return as_vector(load_vector(problem, times[n_], mesh, basis))
+            t = times[n_]
+            return np.array([a(t) for a, _ in terms]) @ factors
 
     levels = march(system, weights, as_vector(g0_field.coeffs), load_fn, steps)
     fields = [DGField(mesh, basis, as_coeffs(level, mesh.n, basis.nmodes)) for level in levels]

@@ -2,6 +2,10 @@
 
 Coordinates are (x, v) on the open unit square; all callables are vectorized
 over numpy arrays and bounded on the closed square for t in [0, T].
+
+Every source is separable: a sum of terms a_k(t) F_k(x, v).  A run projects
+each spatial factor F_k once (`load_vector`), so the load of a time step is
+a combination of those projections and samples nothing.
 """
 
 from __future__ import annotations
@@ -22,19 +26,33 @@ PROBLEM_IDS = ("ex1a", "ex1b", "ex1c", "ex2")
 class ProblemSpec:
     """One concrete problem instance.
 
-    `f` and `exact` may be None (zero source / no closed-form solution).
-    `discontinuities` lists coordinates of jump lines in the data; meshes must
-    place cell boundaries on every such line in both directions, otherwise
-    cell-wise quadrature of the data would not converge.
+    `source_terms` is a tuple of pairs (a_k, F_k): the source is
+    f(x, v, t) = sum_k a_k(t) F_k(x, v), and no terms means no source.
+    `exact` may be None (no closed-form solution).  `discontinuities` lists
+    coordinates of jump lines in the data; meshes must place cell boundaries
+    on every such line in both directions, otherwise cell-wise quadrature of
+    the data would not converge.
     """
 
     name: str
     alpha: float
     t_final: float
     g0: Callable
-    f: Optional[Callable]
     exact: Optional[Callable]
+    source_terms: tuple = ()
     discontinuities: tuple = ()
+
+    @property
+    def f(self):
+        """The source f(x, v, t) built from `source_terms`, or None without terms."""
+        terms = self.source_terms
+        if not terms:
+            return None
+
+        def f(x, v, t):
+            return sum(a(t) * F(x, v) for a, F in terms)
+
+        return f
 
 
 def _check_alpha(alpha):
@@ -68,7 +86,6 @@ def example1(case, alpha, t_final=1.0):
             alpha=alpha,
             t_final=float(t_final),
             g0=lambda x, v: x * np.sin(np.pi * v),
-            f=None,
             exact=None,
         )
     if case == "b":
@@ -77,7 +94,6 @@ def example1(case, alpha, t_final=1.0):
             alpha=alpha,
             t_final=float(t_final),
             g0=_indicator,
-            f=None,
             exact=None,
             discontinuities=(0.5,),
         )
@@ -87,8 +103,8 @@ def example1(case, alpha, t_final=1.0):
             alpha=alpha,
             t_final=float(t_final),
             g0=lambda x, v: 0.0 * (np.asarray(x, float) + np.asarray(v, float)),
-            f=lambda x, v, t: _indicator(x, v) * t ** 0.8,
             exact=None,
+            source_terms=((lambda t: t ** 0.8, _indicator),),
             discontinuities=(0.5,),
         )
     raise PreconditionError("unknown case %r; expected 'a', 'b' or 'c'" % (case,))
@@ -114,24 +130,23 @@ def example2(alpha, t_final=1.0):
     def exact(x, v, t):
         return (t ** alpha + 1.0) * np.sin(np.pi * x) * np.sin(np.pi * v)
 
-    def f(x, v, t):
+    def bracket(x, v):
         sx = np.sin(np.pi * x)
         sv = np.sin(np.pi * v)
-        bracket = (
+        return (
             np.pi ** 2 * sx * sv
             + v * np.pi * np.cos(np.pi * x) * sv
             - v * np.pi * sx * np.cos(np.pi * v)
             - sx * sv
         )
-        return gam * sx * sv + (t ** alpha + 1.0) * bracket
 
     return ProblemSpec(
         name="ex2",
         alpha=alpha,
         t_final=float(t_final),
         g0=g0,
-        f=f,
         exact=exact,
+        source_terms=((lambda t: gam, g0), (lambda t: t ** alpha + 1.0, bracket)),
     )
 
 
@@ -152,13 +167,17 @@ def require_mesh_aligned(lines, mesh):
             raise MisalignedDiscontinuity(coord, mesh.n)
 
 
-def load_vector(problem, t, mesh, basis):
-    """Modal load of the source at time t, axes (x-cell, v-cell, x-mode, v-mode).
+def load_vector(problem, mesh, basis):
+    """Modal projections P_k of the spatial factors F_k of the source terms.
 
-    The source is sampled at the time-step point itself; no time averaging.
+    Returns an array with axes (term, x-cell, v-cell, x-mode, v-mode); the
+    load at time t is sum_k a_k(t) P_k, the projection of the source sampled
+    at t itself, with no time averaging.  A source-free problem gives no
+    terms.  Rejects meshes that miss a discontinuity line of the data.
     """
     require_mesh_aligned(problem.discontinuities, mesh)
-    shape = (mesh.n, mesh.n, basis.nmodes, basis.nmodes)
-    if problem.f is None:
-        return np.zeros(shape)
-    return modal_project(lambda x, v: problem.f(x, v, t), mesh, basis, basis.degree + 2)
+    m = basis.nmodes
+    out = np.empty((len(problem.source_terms), mesh.n, mesh.n, m, m))
+    for load, (_, factor) in zip(out, problem.source_terms):
+        load[...] = modal_project(factor, mesh, basis, basis.degree + 2)
+    return out

@@ -5,11 +5,14 @@ numpy and explicit loops, on purpose: these routines cross-check the package
 without sharing any of its assembly or quadrature code paths.  That includes
 `history_combination`, the direct O(n) sum of the convolution-quadrature
 history of one step, which the stepping loop is compared against.  The
-exception is the last section: the scipy.sparse construction of the 1D
-operators that the package used before it built them as dense arrays, kept
-as their reference, the sparse discrete gradients that hand-derived matrices
-are checked against, and the block sweep with a sparse LU of the x-cell
-block that the package used before it applied a dense inverse.
+exception is the last two sections: the per-step projection of the source
+that the package used before it projected each separable term once per run;
+the scipy.sparse construction of the 1D operators that the package used
+before it built them as dense arrays, kept as their reference, the sparse
+discrete gradients that hand-derived matrices are checked against, and the
+block sweep with a sparse LU of the x-cell block and a cell-by-cell trace
+recurrence that the package used before it applied a dense inverse and a
+doubling scan.
 """
 
 import math
@@ -20,6 +23,8 @@ import scipy.sparse as sp
 
 from fkramers.errors import PreconditionError
 from fkramers.ldg import _one_d_operators, _reference_blocks
+from fkramers.mesh import modal_project
+from fkramers.problems import require_mesh_aligned
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +285,22 @@ class ClassicalLDG:
 
 
 # ---------------------------------------------------------------------------
+# the per-step load
+# ---------------------------------------------------------------------------
+
+def load_at(problem, t, mesh, basis):
+    """Modal load of the source sampled at time t, axes (x-cell, v-cell, x-mode, v-mode).
+
+    The whole source f(x, v, t) is projected at every call, as the package
+    did at every step before it projected each separable term once per run.
+    """
+    require_mesh_aligned(problem.discontinuities, mesh)
+    if problem.f is None:
+        return np.zeros((mesh.n, mesh.n, basis.nmodes, basis.nmodes))
+    return modal_project(lambda x, v: problem.f(x, v, t), mesh, basis, basis.degree + 2)
+
+
+# ---------------------------------------------------------------------------
 # sparse assembly from 1D operators, and the sparse block sweep
 # ---------------------------------------------------------------------------
 
@@ -347,9 +368,16 @@ def splu_sweep(system, rhs):
         lift = np.zeros((cell, nv))
     transfer = (right @ lift.reshape(right.size, -1)).reshape(nv, nv)
     y = system.lu.solve(rhs.reshape(-1, cell).T)  # column i is y_i
-    # row i holds c_i, then tau_i once the recurrence has passed it
-    traces = (right @ y.reshape(right.size, -1)).reshape(nv, -1).T.copy()
-    for i in range(1, traces.shape[0]):
-        traces[i] += transfer @ traces[i - 1]
+    traces = trace_loop((right @ y.reshape(right.size, -1)).reshape(nv, -1).T.copy(), transfer)
     y[:, 1:] += lift @ traces[:-1].T
     return y.T.ravel()
+
+
+def trace_loop(traces, transfer):
+    """Solve tau_i = c_i + transfer tau_{i-1} cell by cell, in place.
+
+    Row i of `traces` holds c_i on entry and tau_i on return.
+    """
+    for i in range(1, traces.shape[0]):
+        traces[i] += transfer @ traces[i - 1]
+    return traces

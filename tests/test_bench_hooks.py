@@ -8,13 +8,17 @@ execution, so these checks pin the names.  They only read perfbench/.
 """
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from fkramers import Basis, build_mesh, build_system
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _load(name):
@@ -54,3 +58,41 @@ def test_system_exposes_traced_counters():
     assert system.lu.L.nnz > 0 and system.lu.U.nnz > 0
     assert spans._matrix_nnz(system) == system.matrix.nnz
     assert spans._lu_nnz(system) == system.lu.L.nnz + system.lu.U.nnz
+
+
+#: Installs the tracer as a traced benchmark execution does, runs two CLI
+#: commands in-process and prints the summary as JSON.
+TRACED_SCRIPT = """
+import json, sys, time
+from spans import Tracer
+tracer = Tracer()
+tracer.start(time.perf_counter())
+import fkramers
+import fkramers.cli
+tracer.install()
+assert fkramers.cli.main(["solve", "--problem", "ex2", "--N", "4", "--tau", "0.25",
+                          "--out", sys.argv[1]]) == 0
+assert fkramers.cli.main(["cq-weights", "--out", sys.argv[2]]) == 0
+tracer.stop()
+print(json.dumps(tracer.summary()))
+"""
+
+
+def test_traced_commands_report_every_metric(tmp_path):
+    # a fresh interpreter, so the tracer wraps the package as it is first
+    # imported: a traced name the package no longer calls through would show
+    # as an absent or null metric, which the benchmark reports as malformed
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (PERFBENCH, os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_SCRIPT, str(tmp_path / "solve.csv"),
+         str(tmp_path / "weights.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["absent"] == {}
+    assert [name for name, value in summary["metrics"].items() if value is None] == []
+    assert summary["check"] is None
+    assert summary["metrics"]["problems.load_calls"] == 1

@@ -290,6 +290,28 @@ class TestMain:
         assert elapsed < 1.0
         assert peak < 2 ** 20
 
+    def test_weight_count_beyond_limit_exit_four(self, capsys):
+        # 3e8 weights (4.8 GB) may fit in memory, but printing them would take
+        # minutes and gigabytes of output; they are refused before any array
+        # of that size is allocated
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["cq-weights", "--steps", "300000000"])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "precondition violated" in err
+        # a host with less than 4.8 GB names its memory instead
+        assert "300000000 steps are more than the limit of 1000000" in err or (
+            "of physical memory" in err
+        )
+        assert elapsed < 1.0
+        assert peak < 2 ** 20
+
     def test_projection_dump_at_time_zero(self, capsys):
         assert main(["solve", "--N", "2", "--T", "0"]) == 0
         out = capsys.readouterr().out

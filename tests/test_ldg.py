@@ -33,7 +33,6 @@ from fkramers import (
     field_to_csv,
     gauss_rule,
     get_problem,
-    load_vector,
     modal_evaluate,
     modal_project,
     project_initial,
@@ -44,13 +43,22 @@ from fkramers.cq import soe_rule
 from fkramers.ldg import (
     HISTORY_BLOCK,
     HISTORY_WINDOW,
+    _doubling_powers,
     _one_d_operators,
     _step_factors,
+    _trace_scan,
     as_coeffs,
     as_vector,
     march,
 )
-from oracles import assemble_gradient, history_combination, sparse_one_d_operators, splu_sweep
+from oracles import (
+    assemble_gradient,
+    history_combination,
+    load_at,
+    sparse_one_d_operators,
+    splu_sweep,
+    trace_loop,
+)
 
 SQ3 = math.sqrt(3.0)
 
@@ -296,6 +304,35 @@ class TestBlockSweep:
             got = system._sweep(rhs)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), d0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+    def test_scan_matches_trace_loop(self, n):
+        # the doubling scan against the cell-by-cell recurrence of the sparse
+        # sweep, on the traces and trace map of a real system
+        basis = Basis(2)
+        system = build_system(build_mesh(n), basis, 3.7, 1.0)
+        cell, nv = system.lift.shape
+        right = system.right
+        transfer = (right @ system.lift.reshape(right.size, -1)).reshape(nv, nv)
+        y = np.random.default_rng(n).standard_normal((n, cell))
+        traces = right @ y.reshape(n, right.size, nv)
+        ref = trace_loop(traces.copy(), transfer)
+        got = _trace_scan(traces, system.powers)
+        assert system.powers.shape == ((n - 1).bit_length(), nv, nv)
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 70), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_scan_matches_loop_property(self, n, nv, seed):
+        # any trace map of norm at most 0.9, at every length, powers of two
+        # or not
+        rng = np.random.default_rng(seed)
+        transfer = rng.standard_normal((nv, nv))
+        transfer *= rng.uniform(0.0, 0.9) / max(np.linalg.norm(transfer, 2), 1e-300)
+        traces = rng.standard_normal((n, nv))
+        ref = trace_loop(traces.copy(), transfer)
+        got = _trace_scan(traces, _doubling_powers(transfer.T, n))
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
     def test_run_path_imports_no_scipy(self, tmp_path):
         # a fresh interpreter: import, one run and one CLI solve, and scipy
         # must still be absent, so no step can make a sparse solve
@@ -393,7 +430,7 @@ class TestHistoryEngine:
             load_fn = lambda n: None
         else:
             def load_fn(n):
-                return as_vector(load_vector(problem, traj.times[n], mesh, basis))
+                return as_vector(load_at(problem, traj.times[n], mesh, basis))
 
         ref = reference_march(
             traj.system, weights, as_vector(traj.fields[0].coeffs), load_fn, 2000
@@ -476,7 +513,7 @@ class TestRun:
     def test_zero_final_time_returns_projection_only(self):
         problem = ProblemSpec(
             name="ex1a", alpha=0.5, t_final=0.0,
-            g0=lambda x, v: x * np.sin(np.pi * v), f=None, exact=None,
+            g0=lambda x, v: x * np.sin(np.pi * v), exact=None,
         )
         traj = run(problem, 4, 1, 0.1)
         assert len(traj.fields) == 1
@@ -533,7 +570,7 @@ class TestRun:
         g0 = as_vector(project_initial(problem.g0, mesh, basis).coeffs)
         levels = reference_march(
             system, weights, g0,
-            lambda m: as_vector(load_vector(problem, m * tau, mesh, basis)), steps,
+            lambda m: as_vector(load_at(problem, m * tau, mesh, basis)), steps,
         )
         for m in range(steps + 1):
             got = as_vector(traj.fields[m].coeffs)

@@ -19,7 +19,7 @@ from fkramers import (
     load_vector,
 )
 from fkramers.problems import require_mesh_aligned
-from oracles import caputo_derivative
+from oracles import caputo_derivative, load_at
 
 
 class TestCaputoOracle:
@@ -149,21 +149,73 @@ class TestGetProblem:
         assert get_problem("ex2", 1.0).alpha == 1.0
 
 
+def combined_load(problem, t, mesh, basis):
+    """sum_k a_k(t) P_k from the projections `load_vector` makes once per run."""
+    factors = load_vector(problem, mesh, basis)
+    amplitudes = np.array([a(t) for a, _ in problem.source_terms], dtype=float)
+    return np.tensordot(amplitudes, factors, axes=1)
+
+
+class TestSourceTerms:
+    def test_source_free_problems_have_no_terms(self):
+        for pid in ("ex1a", "ex1b"):
+            p = get_problem(pid, 0.5)
+            assert p.source_terms == () and p.f is None
+
+    def test_f_is_the_sum_of_the_terms(self):
+        p = get_problem("ex2", 0.4)
+        x = np.linspace(0.0, 1.0, 7)[:, None]
+        v = np.linspace(0.0, 1.0, 5)[None, :]
+        (a1, f1), (a2, f2) = p.source_terms
+        assert np.array_equal(p.f(x, v, 0.3), a1(0.3) * f1(x, v) + a2(0.3) * f2(x, v))
+
+    def test_f_is_read_only(self):
+        p = get_problem("ex1c", 0.5)
+        with pytest.raises(AttributeError):
+            p.f = None
+
+    def test_bare_source_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            ProblemSpec(name="ex1a", alpha=0.5, t_final=1.0, g0=lambda x, v: x,
+                        f=lambda x, v, t: x, exact=None)
+
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_combined_projections_match_per_step_load(self, pid, k, n):
+        # the load from the per-run projections against the old per-step
+        # projection of f, at random times
+        p = get_problem(pid, 0.6)
+        mesh, basis = build_mesh(n), Basis(k)
+        rng = np.random.default_rng(100 * n + 10 * k + PROBLEM_IDS.index(pid))
+        if p.discontinuities and n == 1:
+            with pytest.raises(MisalignedDiscontinuity):
+                load_vector(p, mesh, basis)
+            with pytest.raises(MisalignedDiscontinuity):
+                load_at(p, 0.5, mesh, basis)
+            return
+        for t in rng.uniform(0.0, 1.0, 4):
+            ref = load_at(p, t, mesh, basis)
+            got = combined_load(p, t, mesh, basis)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref), initial=0.0)
+
+
 class TestLoadVector:
     def test_zero_source_gives_zeros(self):
         p = get_problem("ex1a", 0.5)
-        load = load_vector(p, 0.5, build_mesh(4), Basis(1))
-        assert load.shape == (4, 4, 2, 2)
-        assert np.all(load == 0.0)
+        load = load_vector(p, build_mesh(4), Basis(1))
+        assert load.shape == (0, 4, 4, 2, 2)
+        assert np.all(combined_load(p, 0.5, build_mesh(4), Basis(1)) == 0.0)
 
     def test_constant_source_modes(self):
         p = ProblemSpec(
             name="ex1a", alpha=0.5, t_final=1.0,
-            g0=lambda x, v: 0.0 * x * v,
-            f=lambda x, v, t: 1.0 + 0.0 * x * v, exact=None,
+            g0=lambda x, v: 0.0 * x * v, exact=None,
+            source_terms=((lambda t: 1.0, lambda x, v: 1.0 + 0.0 * x * v),),
         )
         mesh = build_mesh(4)
-        load = load_vector(p, 0.3, mesh, Basis(1))
+        load = combined_load(p, 0.3, mesh, Basis(1))
         assert np.allclose(load[:, :, 0, 0], mesh.h, atol=1e-14)
         other = load.copy()
         other[:, :, 0, 0] = 0.0
@@ -171,7 +223,7 @@ class TestLoadVector:
 
     def test_block_source_support(self):
         p = get_problem("ex1c", 0.5)
-        load = load_vector(p, 1.0, build_mesh(4), Basis(1))
+        (load,) = load_vector(p, build_mesh(4), Basis(1))
         norms = np.linalg.norm(load, axis=(2, 3))
         inside = np.zeros((4, 4), dtype=bool)
         inside[2:4, 0:2] = True  # x in (0.5, 1), v in (0, 0.5)
@@ -181,14 +233,14 @@ class TestLoadVector:
     def test_misaligned_mesh_rejected(self):
         p = get_problem("ex1b", 0.5)
         with pytest.raises(MisalignedDiscontinuity) as err:
-            load_vector(p, 0.5, build_mesh(3), Basis(1))
+            load_vector(p, build_mesh(3), Basis(1))
         assert "0.5" in str(err.value)
         assert err.value.coordinate == 0.5 and err.value.n == 3
 
     def test_aligned_meshes_accepted(self):
         p = get_problem("ex1c", 0.5)
         for n in (2, 4, 8, 10):
-            load_vector(p, 1.0, build_mesh(n), Basis(1))
+            load_vector(p, build_mesh(n), Basis(1))
 
 
 class TestAlignment:

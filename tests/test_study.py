@@ -249,7 +249,7 @@ class TestRegularity:
     def test_degenerate_for_steady_zero_solution(self):
         p = ProblemSpec(
             name="ex1a", alpha=0.5, t_final=1.0,
-            g0=lambda x, v: 0.0 * x * v, f=None, exact=None,
+            g0=lambda x, v: 0.0 * x * v, exact=None,
         )
         fit = regularity_diagnostic(p, n=2, k=1, tau=0.125)
         assert fit.degenerate
@@ -259,7 +259,7 @@ class TestRegularity:
         base = get_problem("ex1b", 0.5)
         scaled = ProblemSpec(
             name="ex1b", alpha=0.5, t_final=1.0,
-            g0=lambda x, v: 10.0 * base.g0(x, v), f=None, exact=None,
+            g0=lambda x, v: 10.0 * base.g0(x, v), exact=None,
             discontinuities=(0.5,),
         )
         f1 = regularity_diagnostic(base, n=4, k=1, tau=1.0 / 16)
