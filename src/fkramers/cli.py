@@ -9,6 +9,7 @@ fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -117,7 +118,9 @@ def _read_config_file(path):
     return values
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="fkramers",
         description="Fractional kinetic equation solver and convergence harness.",

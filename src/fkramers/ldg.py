@@ -33,7 +33,11 @@ Time stepping (`march`) sums the convolution-quadrature history over blocks
 of HISTORY_BLOCK steps: directly, by one Toeplitz product per block, for the
 lags within HISTORY_WINDOW, and by sum-of-exponentials accumulators beyond
 it, so a run costs O(steps (HISTORY_WINDOW + nodes)) vector operations and
-keeps every level plus one accumulator per exponential.
+keeps every level plus one accumulator per exponential.  Each block is
+solved in groups of consecutive steps, as many as fit BUFFER_BYTES: one
+`LDGSystem.solve` call sweeps a group's steps one after the other and then
+checks all their residuals in one batched pass, since a step needs the
+solution of the step before it but not its residual.
 """
 
 from __future__ import annotations
@@ -100,35 +104,41 @@ def _reference_blocks(basis):
 def _one_d_operators(mesh, basis):
     """The five 1D operators whose Kronecker products build the scheme.
 
-    Dense arrays of order N (k + 1); even at N = 64, k = 2 the five hold a
+    Dense arrays of order N (k + 1), each written block by block onto its
+    (k + 1) x (k + 1) block diagonals; even at N = 64, k = 2 the five hold a
     small fraction of the entries of the assembled operator.
     """
     n, h, m = mesh.n, mesh.h, basis.nmodes
     der, jmat, el, er = _reference_blocks(basis)
-    eye_cells = np.eye(n)
-    below = np.eye(n, k=-1)  # couples each cell to its lower neighbour
-    above = np.eye(n, k=1)
-    first = np.zeros((n, n))
-    first[0, 0] = 1.0
-    tail = eye_cells - first  # cells with an interior lower face
-
+    left = np.outer(el, el)  # the two traces on a cell's lower face
+    cross = np.outer(el, er)  # a cell's lower face against its lower neighbour's upper one
     two_h = 2.0 / h
-    grad_x = two_h * (
-        np.kron(eye_cells, der + np.outer(el, el)) - np.kron(below, np.outer(el, er))
+
+    grad_x = _block_diagonals(n, m, {0: two_h * (der + left), -1: two_h * -cross})
+    grad_v_inner = der - np.outer(er, er)
+    grad_v = _block_diagonals(n, m, {0: two_h * grad_v_inner, 1: two_h * np.outer(er, el)},
+                              first=two_h * (grad_v_inner + left))
+    div_v = _block_diagonals(n, m, {0: two_h * (-der - left), -1: two_h * cross},
+                             first=two_h * -der)
+    vmass = _block_diagonals(
+        n, m, {0: mesh.centers[:, None, None] * np.eye(m) + 0.5 * h * jmat}
     )
-    grad_v = two_h * (
-        np.kron(eye_cells, der - np.outer(er, er))
-        + np.kron(first, np.outer(el, el))
-        + np.kron(above, np.outer(er, el))
-    )
-    div_v = two_h * (
-        np.kron(eye_cells, -der)
-        - np.kron(tail, np.outer(el, el))
-        + np.kron(below, np.outer(el, er))
-    )
-    vmass = np.kron(np.diag(mesh.centers), np.eye(m)) + 0.5 * h * np.kron(eye_cells, jmat)
-    penalty = (2.0 / h ** 2) * np.kron(first, np.outer(el, el))
+    penalty = _block_diagonals(n, m, {}, first=(2.0 / h ** 2) * left)
     return grad_x, grad_v, div_v, vmass, penalty
+
+
+def _block_diagonals(n, m, diagonals, first=None):
+    """An (n m, n m) array with the blocks `diagonals[offset]` on the block
+    diagonal `offset` (one (m, m) block for all cells, or one per cell) and
+    zeros elsewhere; `first`, if given, replaces the first diagonal block.
+    """
+    out = np.zeros((n, m, n, m))
+    for offset, block in diagonals.items():
+        rows = np.arange(max(0, -offset), n - max(0, offset))
+        out[rows, :, rows + offset, :] = block
+    if first is not None:
+        out[0, :, 0, :] = first
+    return out.reshape(n * m, n * m)
 
 
 def _step_factors(mesh, basis, theta):
@@ -178,11 +188,13 @@ class LDGSystem:
     y_i = A^{-1} r_i and lift = A^{-1} K, and the right traces
     tau_i = kron(er^T, I_nv) u_i obey tau_i = c_i + T tau_{i-1}, where c_i is
     the trace of y_i and T the trace of lift.  Every y_i comes from one
-    product with the dense A^{-1}; the recurrence is solved by the doubling
-    scan of :func:`_trace_scan` with the stored powers (T^T)^(2^p), and the
-    residual is checked matrix-free from the 1D factors, so a step is a
-    fixed handful of products that use numpy alone.  Immutable after
-    construction.
+    product with the dense A^{-1}, stored transposed and contiguous as the
+    product reads it; the recurrence is solved by the doubling scan of
+    :func:`_trace_scan` with the stored powers (T^T)^(2^p).  A sweep is thus
+    a fixed handful of products that use numpy alone.  :meth:`solve` sweeps
+    a group of consecutive time steps, one after the other, and then checks
+    all their residuals in one batched pass, matrix-free from the 1D
+    factors.  Immutable after construction.
 
     `matrix` (the assembled step matrix) and `lu` (the SuperLU factors of A)
     are built with scipy on first access, for inspection and tests only.
@@ -192,8 +204,8 @@ class LDGSystem:
     vmass: np.ndarray = field(repr=False)  # V, shape (nv, nv)
     v_block: np.ndarray = field(repr=False)  # B, shape (nv, nv)
     d0: float
-    inverse: np.ndarray = field(repr=False)  # dense A^{-1}, shape (m * nv, m * nv)
-    lift: np.ndarray = field(repr=False)  # A^{-1} K, shape (m * nv, nv)
+    inverse_t: np.ndarray = field(repr=False)  # dense A^{-T}, shape (m * nv, m * nv)
+    lift_t: np.ndarray = field(repr=False)  # (A^{-1} K)^T, shape (nv, m * nv)
     powers: np.ndarray = field(repr=False)  # (T^T)^(2^p), shape (ceil(log2 N), nv, nv)
     right: np.ndarray = field(repr=False)  # x-mode values er at the right cell edge
 
@@ -210,47 +222,100 @@ class LDGSystem:
         """SuperLU factors of the x-cell block A; no time step uses them."""
         import scipy.sparse.linalg as spla
 
-        cell = self.lift.shape[0]
+        cell = self.inverse_t.shape[0]
         return spla.splu(self.matrix[:cell, :cell].tocsc())
 
-    def solve(self, rhs):
-        x = self._sweep(rhs)
-        resid = self._apply(x)
-        resid -= rhs
-        # each norm is of its array scaled by 2**-e, with 2**e the power of two
-        # just above the array's largest entry: every entry is then below 1, so
-        # no norm overflows, and the scaling is exact, so the ratio is that of
-        # the unscaled norms
-        e = math.frexp(np.abs(rhs).max())[1]
-        e_resid = math.frexp(np.abs(resid).max())[1]
-        resid = np.linalg.norm(np.ldexp(resid, -e_resid, out=resid))
-        load = max(np.linalg.norm(np.ldexp(rhs, -e)), math.ldexp(1e-30, -e))
-        try:
-            ratio = math.ldexp(resid / load, e_resid - e)
-        except OverflowError:
-            ratio = math.inf
-        if not ratio <= SOLVE_RTOL:
+    def solve(self, rhs, coupling=(), out=None):
+        """Solve a group of g consecutive time steps; raise SolverFailure if one fails.
+
+        Row r of the (g, ndof) array `rhs` holds step r's right-hand side with
+        its history, partial-sum and load terms; `coupling` holds the CQ
+        weights d_1 .. d_{g-1} through which the earlier rows of the group
+        enter, so row r solves
+
+            (d0 I + spatial) x_r = rhs_r - sum_{j=1}^{r} d_j x_{r-j}
+
+        by forward substitution in time, one sweep per row, into row r of
+        `out` (a new array if None).  Then every row's residual is checked in
+        one pass, and the first row whose residual exceeds SOLVE_RTOL of its
+        right-hand side, both in the 2-norm, raises SolverFailure; the rows
+        after it were computed from its solution.  `rhs` is the residual's
+        buffer and so is overwritten.  A 1-D `rhs` is a group of one step:
+        it is left as it is, and the solution is returned as a new 1-D array.
+        """
+        if rhs.ndim == 1:
+            x = np.empty_like(rhs)
+            self.solve(rhs[None].copy(), out=x[None])
+            return x
+        if out is None:
+            out = np.empty_like(rhs)
+        lags = np.ascontiguousarray(coupling[::-1])  # d_{g-1} .. d_1; a reversed view is slow
+        # a failed row feeds non-finite values into the later rows; the check
+        # below reports the first failed row, so no overflow warning is needed
+        with np.errstate(all="ignore"):
+            for r in range(rhs.shape[0]):
+                if r:
+                    rhs[r] -= lags[lags.size - r:] @ out[:r]
+                self._sweep(rhs[r], out[r])
+            load, e = _scaled_row_norms(rhs)
+            np.maximum(load, np.ldexp(1e-30, -e), out=load)
+            self._residuals(out, rhs)
+            resid, e_resid = _scaled_row_norms(rhs)
+            ratio = np.ldexp(resid / load, e_resid - e)
+        failed = np.flatnonzero(~(ratio <= SOLVE_RTOL))
+        if failed.size:
             raise SolverFailure(
-                "direct solve residual %.3e of the load norm exceeds %.1e" % (ratio, SOLVE_RTOL)
+                "direct solve residual %.3e of the load norm exceeds %.1e"
+                % (ratio[failed[0]], SOLVE_RTOL)
             )
-        return x
+        return out
 
-    def _apply(self, x):
-        """The step matrix times x, as d0 X + G (X V^T) + X B^T on x's (nv, nv) view."""
-        u = x.reshape(-1, self.v_block.shape[0])
-        out = self.grad_x @ (u @ self.vmass.T)
-        out += u @ self.v_block.T
-        out += self.d0 * u
-        return out.ravel()
-
-    def _sweep(self, rhs):
-        cell, nv = self.lift.shape
-        y = rhs.reshape(-1, cell) @ self.inverse.T  # row i is y_i
+    def _sweep(self, rhs, out):
+        """Solve one step exactly for the 1-D `rhs`, into the 1-D `out`."""
+        cell, nv = self.inverse_t.shape[0], self.lift_t.shape[0]
+        y = out.reshape(-1, cell)  # row i is y_i
+        np.matmul(rhs.reshape(-1, cell), self.inverse_t, out=y)
         # row i holds c_i, then tau_i once the scan has passed it
         traces = _trace_scan(self.right @ y.reshape(y.shape[0], self.right.size, nv),
                              self.powers)
-        y[1:] += traces[:-1] @ self.lift.T
-        return y.ravel()
+        y[1:] += traces[:-1] @ self.lift_t
+
+    def _residuals(self, x, rhs):
+        """Overwrite each row rhs_r by the residual M x_r - rhs_r.
+
+        M x is d0 X + G (X V^T) + X B^T on each row's (nv, nv) view X; at
+        most two temporaries of the group's size exist at a time.
+        """
+        g, nv = x.shape[0], self.v_block.shape[0]
+        u = x.reshape(g * nv, nv)
+        t = u @ self.vmass.T
+        resid = self.grad_x @ t.reshape(g, nv, nv)
+        np.matmul(u, self.v_block.T, out=t)
+        resid += t.reshape(g, nv, nv)
+        np.multiply(u, self.d0, out=t)
+        resid += t.reshape(g, nv, nv)
+        np.subtract(resid.reshape(g, -1), rhs, out=rhs)
+
+
+#: Sums of squares in this range are free of overflow and of harmful underflow.
+_SAFE_SQUARES = (2.0 ** -900, np.finfo(float).max)
+
+
+def _scaled_row_norms(rows):
+    """The 2-norms of the rows of `rows` as (norms, e), each norm being norms_r * 2**e_r.
+
+    When every row's sum of squares is safe, e is 0.  Otherwise each row is
+    scaled by 2**-e_r, with 2**e_r the power of two just above its largest
+    entry: every entry is then below 1, so no norm overflows, and the
+    scaling is exact, so a ratio of two norms is that of the unscaled ones
+    times a power of two.
+    """
+    squares = np.einsum("ij,ij->i", rows, rows)
+    lo, hi = _SAFE_SQUARES
+    if lo <= squares.min() and squares.max() <= hi:  # false for a NaN
+        return np.sqrt(squares), 0
+    e = np.frexp(np.abs(rows).max(axis=1))[1]
+    return np.linalg.norm(np.ldexp(rows, -e[:, None]), axis=1), e
 
 
 def _doubling_powers(transfer_t, n):
@@ -307,22 +372,26 @@ def assemble_system(factors, d0, basis):
         diagonal[a, :, a, :] += v_block
     block.flat[::cell + 1] += d0
     try:
-        inverse = np.linalg.inv(block)
+        # the inverse of A^T is A^{-T}: the sweep's product reads the inverse
+        # transposed, so it is formed contiguous in that layout
+        inverse_t = np.linalg.inv(block.T)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure("the x-cell block cannot be inverted: %s" % (exc,)) from exc
     del block, diagonal
-    if not np.isfinite(inverse).all():
+    if not np.isfinite(inverse_t).all():
         raise SolverFailure("the x-cell block has no finite inverse")
     right = basis.right_values()
     if nv > m:
         coupling = -np.kron(grad_x[m:2 * m, :1], vmass) / right[0]
     else:
         coupling = np.zeros((cell, nv))
-    lift = inverse @ coupling
-    transfer = (right @ lift.reshape(right.size, -1)).reshape(nv, nv)
+    lift_t = coupling.T @ inverse_t  # (A^{-1} K)^T
+    del coupling
+    # transfer^T[K, J] = sum_a er[a] lift[a nv + J, K]
+    transfer_t = right @ lift_t.reshape(nv, right.size, nv)
     return LDGSystem(
-        grad_x=grad_x, vmass=vmass, v_block=v_block, d0=d0,
-        inverse=inverse, lift=lift, powers=_doubling_powers(transfer.T, nv // m), right=right,
+        grad_x=grad_x, vmass=vmass, v_block=v_block, d0=d0, inverse_t=inverse_t, lift_t=lift_t,
+        powers=_doubling_powers(transfer_t, nv // m), right=right,
     )
 
 
@@ -341,8 +410,10 @@ def project_initial(g0, mesh, basis, discontinuities=()):
 class Trajectory:
     """All time levels of one run; `fields[n]` is the state at t = n * tau.
 
-    The coefficients of every field view one row of the single array of
-    levels that `march` returned; a T = 0 run holds only the projection.
+    `levels` is the single array that `march` returned, one raveled level
+    per row; a T = 0 run holds only the projection.  `fields` and `final`
+    wrap its rows in DGFields, whose coefficients view the rows, on first
+    access, and `final` is always `fields[-1]`.
     """
 
     problem: object
@@ -351,12 +422,19 @@ class Trajectory:
     tau: float
     theta: float
     times: np.ndarray
-    fields: list
+    levels: np.ndarray = field(repr=False)
     system: Optional[LDGSystem]
 
-    @property
+    @cached_property
+    def fields(self):
+        return [self._field(level) for level in self.levels[:-1]] + [self.final]
+
+    @cached_property
     def final(self):
-        return self.fields[-1]
+        return self._field(self.levels[-1])
+
+    def _field(self, level):
+        return DGField(self.mesh, self.basis, as_coeffs(level, self.mesh.n, self.basis.nmodes))
 
 
 def _integral_steps(t_final, tau):
@@ -375,7 +453,7 @@ def _integral_steps(t_final, tau):
 
 
 #: Steps per block of the history engine: the lags from before a block enter
-#: it in a few GEMMs, those inside it step by step.
+#: it in a few GEMMs, those inside it group by group and step by step.
 HISTORY_BLOCK = 16
 
 #: Lags up to HISTORY_WINDOW are summed directly; longer ones come from the
@@ -384,8 +462,14 @@ HISTORY_BLOCK = 16
 #: multiple of HISTORY_BLOCK, so the accumulators advance a whole block.
 HISTORY_WINDOW = 320
 
-#: Bytes allowed per temporary of one column chunk of the far field.
-FAR_CHUNK_BYTES = 1 << 17
+#: Bytes allowed for a group's buffer of right-hand sides, and per temporary
+#: of one column chunk of the far field.
+BUFFER_BYTES = 1 << 16
+
+
+def _group_rows(ndof):
+    """Steps per LDGSystem.solve call: as many as fit BUFFER_BYTES, 1 to HISTORY_BLOCK."""
+    return max(1, min(HISTORY_BLOCK, BUFFER_BYTES // (8 * ndof)))
 
 
 def _require_run_memory(n, basis, steps, terms=0):
@@ -396,10 +480,11 @@ def _require_run_memory(n, basis, steps, terms=0):
     or source factor, and every stored level; with steps, also the CQ
     weights and partial sums, the five dense 1D operators with the v-block,
     what set-up holds at once: the x-cell block A, its inverse and lift, the
-    ceil(log2 n) powers of the trace scan, and the block of near-field
-    weights; the projections of the `terms` source factors, one level each;
-    past the history window, the far-field accumulators, one level per node
-    of `soe_rule`.  Call it before allocating any of them.
+    ceil(log2 n) powers of the trace scan, the block of near-field weights
+    and a group's right-hand sides; the projections of the `terms` source
+    factors, one level each; past the history window, the far-field
+    accumulators, one level per node of `soe_rule`.  Call it before
+    allocating any of them.
     """
     if not isinstance(n, Integral) or n < 1:
         return  # build_mesh names the bad resolution
@@ -409,7 +494,7 @@ def _require_run_memory(n, basis, steps, terms=0):
     if steps:
         doubles += 2 * (steps + 1) + 6 * block ** 2 + 2 * (block * m) ** 2 + m * block ** 2
         doubles += (int(n) - 1).bit_length() * block ** 2 + terms * block ** 2
-        doubles += HISTORY_BLOCK * HISTORY_WINDOW
+        doubles += HISTORY_BLOCK * HISTORY_WINDOW + _group_rows(block ** 2) * block ** 2
     if steps > HISTORY_WINDOW + HISTORY_BLOCK:
         # log2 of the int steps, which may exceed the float range
         panels = math.ceil(math.log2(steps) + math.log2(SOE_CUTOFF / (HISTORY_WINDOW - 1)))
@@ -443,12 +528,16 @@ def march(system, weights, g0_vec, load_fn, steps):
       up to p = lo - HISTORY_WINDOW - 1 for the block starting at lo, is
       advanced by one GEMM per block and read out by another.
 
-    Lags inside the block are summed directly at each step, and the row then
-    holds the step's right-hand side until the solution replaces it.  At
+    A block is then solved in groups of consecutive steps whose right-hand
+    sides fit BUFFER_BYTES (:func:`_group_rows`), one LDGSystem.solve call
+    per group.  A group's buffer receives the partial-sum term, the
+    accumulated history, the lags from the block's earlier groups (one more
+    Toeplitz GEMM) and the loads; the solve adds the lags inside the group
+    step by step and writes the solutions into the group's rows.  At
     alpha = 1 the weights vanish beyond lag 1, so no accumulator is kept.
     Storage is the returned array, the accumulators (one row of ndof per
-    node), far-field temporaries of at most FAR_CHUNK_BYTES each and a few
-    vectors of one step's solve.
+    node), the group buffer, temporaries of at most BUFFER_BYTES each in the
+    far field and a few of one group's size in its solve.
     """
     d = weights.d
     s = weights.partial_sums
@@ -460,6 +549,11 @@ def march(system, weights, g0_vec, load_fn, steps):
     # near[r, c] = d[W + r - c], the weight from column c of a window to row r
     near = d[np.minimum(np.subtract.outer(np.arange(HISTORY_BLOCK), np.arange(HISTORY_WINDOW))
                         + HISTORY_WINDOW, steps)]
+    # inside[r, c] = d[r - c] below the diagonal: lags between rows of one block
+    lag = np.subtract.outer(np.arange(HISTORY_BLOCK), np.arange(HISTORY_BLOCK))
+    inside = np.where(lag > 0, d[np.clip(lag, 0, steps)], 0.0)
+    rows = _group_rows(g0_vec.size)
+    rhs = np.empty((min(rows, steps), g0_vec.size))
     for lo in range(1, steps + 1, HISTORY_BLOCK):
         hi = min(lo + HISTORY_BLOCK, steps + 1)
         first = max(1, lo - HISTORY_WINDOW)
@@ -467,15 +561,18 @@ def march(system, weights, g0_vec, load_fn, steps):
             np.matmul(near[:hi - lo, first - lo:], levels[first:lo], out=levels[lo:hi])
         if far is not None:
             far.add(levels, lo, hi)
-        for n in range(lo, hi):
-            rhs = levels[n]  # the accumulated history becomes the right-hand side
-            np.subtract(s[n - 1] * g0_vec, rhs, out=rhs)
-            if n > lo:
-                rhs -= d[n - lo:0:-1] @ levels[lo:n]
-            extra = load_fn(n)
-            if extra is not None:
-                rhs += extra
-            levels[n] = system.solve(rhs)
+        for glo in range(lo, hi, rows):
+            ghi = min(glo + rows, hi)
+            group = rhs[:ghi - glo]
+            np.multiply.outer(s[glo - 1:ghi - 1], g0_vec, out=group)
+            group -= levels[glo:ghi]
+            if glo > lo:
+                group -= inside[glo - lo:ghi - lo, :glo - lo] @ levels[lo:glo]
+            for n in range(glo, ghi):
+                extra = load_fn(n)
+                if extra is not None:
+                    group[n - glo] += extra
+            system.solve(group, d[1:ghi - glo], out=levels[glo:ghi])
     return levels
 
 
@@ -491,7 +588,7 @@ class _FarField:
         # read[r, l]: accumulator l's share of row lo + r, lag lo + r - p = W + 1 + r
         self.read = (weights.d[0] * c) * np.exp(-np.outer(HISTORY_WINDOW + 1 + r, x))
         self.acc = np.zeros((x.size, ndof))
-        self.width = max(1, FAR_CHUNK_BYTES // (8 * max(x.size, HISTORY_BLOCK)))
+        self.width = max(1, BUFFER_BYTES // (8 * max(x.size, HISTORY_BLOCK)))
 
     def add(self, levels, lo, hi):
         """Advance the accumulators to p = lo - W - 1, then add them to rows lo .. hi-1."""
@@ -530,7 +627,7 @@ def run(problem, n, k, tau, theta=1.0):
     if steps == 0:
         return Trajectory(
             problem=problem, mesh=mesh, basis=basis, tau=tau, theta=theta,
-            times=times, fields=[g0_field], system=None,
+            times=times, levels=as_vector(g0_field.coeffs)[None], system=None,
         )
     weights = cq_weights(problem.alpha, tau, steps)
     system = build_system(mesh, basis, weights.d[0], theta)
@@ -546,10 +643,9 @@ def run(problem, n, k, tau, theta=1.0):
             return np.array([a(t) for a, _ in terms]) @ factors
 
     levels = march(system, weights, as_vector(g0_field.coeffs), load_fn, steps)
-    fields = [DGField(mesh, basis, as_coeffs(level, mesh.n, basis.nmodes)) for level in levels]
     return Trajectory(
         problem=problem, mesh=mesh, basis=basis, tau=tau, theta=theta,
-        times=times, fields=fields, system=system,
+        times=times, levels=levels, system=system,
     )
 
 

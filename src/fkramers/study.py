@@ -18,7 +18,7 @@ import numpy as np
 from .cq import cq_weights
 from .errors import MeshMismatch, PreconditionError, _positive_finite
 from .ldg import (
-    DGField, _integral_steps, _require_run_memory, as_vector, build_system, march, run,
+    DGField, _integral_steps, _require_run_memory, build_system, march, run,
 )
 from .mesh import Basis, build_mesh, cell_points, gauss_rule, legendre_table, modal_evaluate
 
@@ -300,12 +300,12 @@ def regularity_diagnostic(problem, n=16, k=1, tau=0.01, theta=1.0):
     quotients vanish (steady solutions) the fit is flagged degenerate.
     """
     traj = run(problem, n, k, tau, theta)
-    steps = len(traj.fields) - 1
+    levels = traj.levels
+    steps = levels.shape[0] - 1
     if steps < 4:
         raise PreconditionError("too few steps for a regularity fit")
-    vecs = [as_vector(f.coeffs) for f in traj.fields]  # views of the levels, no copies
     # axis=0 sums each pair's squares exactly as a row-wise norm would
-    quots = np.array([np.linalg.norm(b - a, axis=0) for a, b in zip(vecs, vecs[1:])]) / traj.tau
+    quots = np.array([np.linalg.norm(b - a, axis=0) for a, b in zip(levels, levels[1:])]) / traj.tau
     times = traj.times[1:]
     lo, hi = 2, steps // 2  # 1-based step indices of the fit window
     window_q = quots[lo - 1:hi]

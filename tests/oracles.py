@@ -7,8 +7,9 @@ without sharing any of its assembly or quadrature code paths.  That includes
 history of one step, which the stepping loop is compared against.  The
 exception is the last two sections: the per-step projection of the source
 that the package used before it projected each separable term once per run;
-the scipy.sparse construction of the 1D operators that the package used
-before it built them as dense arrays, kept as their reference, the sparse
+the np.kron and the scipy.sparse constructions of the 1D operators that the
+package used before it wrote their blocks in place and built them as dense
+arrays, kept as their references, the sparse
 discrete gradients that hand-derived matrices are checked against, and the
 block sweep with a sparse LU of the x-cell block and a cell-by-cell trace
 recurrence that the package used before it applied a dense inverse and a
@@ -301,8 +302,44 @@ def load_at(problem, t, mesh, basis):
 
 
 # ---------------------------------------------------------------------------
-# sparse assembly from 1D operators, and the sparse block sweep
+# the 1D operators as Kronecker products, sparse assembly from them, and the
+# sparse block sweep
 # ---------------------------------------------------------------------------
+
+def kron_one_d_operators(mesh, basis):
+    """Dense (grad_x, grad_v, div_v, vmass, penalty) from np.kron of cell matrices.
+
+    The construction ``fkramers.ldg._one_d_operators`` used before it wrote
+    the (k + 1) x (k + 1) blocks straight onto their block diagonals; the two
+    must agree exactly.
+    """
+    n, h, m = mesh.n, mesh.h, basis.nmodes
+    der, jmat, el, er = _reference_blocks(basis)
+    eye_cells = np.eye(n)
+    below = np.eye(n, k=-1)  # couples each cell to its lower neighbour
+    above = np.eye(n, k=1)
+    first = np.zeros((n, n))
+    first[0, 0] = 1.0
+    tail = eye_cells - first  # cells with an interior lower face
+
+    two_h = 2.0 / h
+    grad_x = two_h * (
+        np.kron(eye_cells, der + np.outer(el, el)) - np.kron(below, np.outer(el, er))
+    )
+    grad_v = two_h * (
+        np.kron(eye_cells, der - np.outer(er, er))
+        + np.kron(first, np.outer(el, el))
+        + np.kron(above, np.outer(er, el))
+    )
+    div_v = two_h * (
+        np.kron(eye_cells, -der)
+        - np.kron(tail, np.outer(el, el))
+        + np.kron(below, np.outer(el, er))
+    )
+    vmass = np.kron(np.diag(mesh.centers), np.eye(m)) + 0.5 * h * np.kron(eye_cells, jmat)
+    penalty = (2.0 / h ** 2) * np.kron(first, np.outer(el, el))
+    return grad_x, grad_v, div_v, vmass, penalty
+
 
 def _shift(n, offset):
     return sp.diags(np.ones(n - abs(offset)), offset, shape=(n, n))
@@ -360,7 +397,7 @@ def splu_sweep(system, rhs):
     the assembled step matrix, come from SuperLU solves with the x-cell
     block, as the package computed them before it applied a dense inverse.
     """
-    cell, nv = system.lift.shape
+    nv, cell = system.lift_t.shape
     right = system.right
     if system.matrix.shape[0] > cell:
         lift = system.lu.solve(-system.matrix[cell:2 * cell, :nv].toarray() / right[0])

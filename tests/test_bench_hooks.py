@@ -60,19 +60,26 @@ def test_system_exposes_traced_counters():
     assert spans._lu_nnz(system) == system.lu.L.nnz + system.lu.U.nnz
 
 
-#: Installs the tracer as a traced benchmark execution does, runs two CLI
-#: commands in-process and prints the summary as JSON.
+#: Installs the tracer as a traced benchmark execution does, runs tiny
+#: versions of five CLI commands in-process and prints the summary as JSON.
 TRACED_SCRIPT = """
-import json, sys, time
+import json, os, sys, time
 from spans import Tracer
 tracer = Tracer()
 tracer.start(time.perf_counter())
 import fkramers
 import fkramers.cli
 tracer.install()
-assert fkramers.cli.main(["solve", "--problem", "ex2", "--N", "4", "--tau", "0.25",
-                          "--out", sys.argv[1]]) == 0
-assert fkramers.cli.main(["cq-weights", "--out", sys.argv[2]]) == 0
+commands = [
+    ["solve", "--problem", "ex2", "--N", "4", "--tau", "0.25"],
+    ["cq-weights"],
+    ["stability", "--N", "2", "--tau", "0.25", "--trials", "2"],
+    ["regularity", "--N", "2", "--tau", "0.125"],
+    ["study-space", "--N-list", "2,4", "--tau", "0.25", "--alpha", "0.5"],
+]
+for i, argv in enumerate(commands):
+    out = os.path.join(sys.argv[1], "%d.csv" % i)
+    assert fkramers.cli.main(argv + ["--out", out]) == 0, argv
 tracer.stop()
 print(json.dumps(tracer.summary()))
 """
@@ -86,8 +93,7 @@ def test_traced_commands_report_every_metric(tmp_path):
         p for p in (PERFBENCH, os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p
     ))
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_SCRIPT, str(tmp_path / "solve.csv"),
-         str(tmp_path / "weights.csv")],
+        [sys.executable, "-c", TRACED_SCRIPT, str(tmp_path)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -95,4 +101,7 @@ def test_traced_commands_report_every_metric(tmp_path):
     assert summary["absent"] == {}
     assert [name for name, value in summary["metrics"].items() if value is None] == []
     assert summary["check"] is None
-    assert summary["metrics"]["problems.load_calls"] == 1
+    metrics = summary["metrics"]
+    # one projection per run with a source: the solve and the two study runs
+    assert metrics["problems.load_calls"] == 3
+    assert metrics["ldg.solve_calls"] > 0

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkramers import ConfigError, SolverFailure
-from fkramers.cli import RunConfig, main, parse, render
+from fkramers.cli import RunConfig, _build_parser, main, parse, render
 from fkramers.study import DEFAULT_INV_TAUS, DEFAULT_RESOLUTIONS
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
@@ -84,6 +84,14 @@ class TestParse:
     def test_missing_command_rejected(self):
         with pytest.raises(ConfigError):
             parse([])
+
+    def test_parser_built_once_keeps_no_state(self):
+        # the parser is shared by every parse; one parse's flags must not
+        # become the next one's defaults
+        assert _build_parser() is _build_parser()
+        assert parse(["solve", "--N", "4", "--k", "2", "--out", "x.csv"]).n == 4
+        config = parse(["solve"])
+        assert config.n == 16 and config.k == 1 and config.out is None
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from fkramers.ldg import (
 from oracles import (
     assemble_gradient,
     history_combination,
+    kron_one_d_operators,
     load_at,
     sparse_one_d_operators,
     splu_sweep,
@@ -165,6 +167,13 @@ class TestSpatialAssembly:
             assert isinstance(got, np.ndarray)
             assert np.array_equal(got, ref.toarray())
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (16, 1), (20, 2), (64, 2), (5, 3)])
+    def test_block_diagonals_match_kron_form(self, n, k):
+        mesh = build_mesh(n)
+        basis = Basis(k)
+        for got, ref in zip(_one_d_operators(mesh, basis), kron_one_d_operators(mesh, basis)):
+            assert np.array_equal(got, ref)
+
 
 class TestSystem:
     def test_march_matches_dense_convolution_solve(self):
@@ -229,7 +238,12 @@ class TestSystem:
         with np.errstate(over="raise", invalid="raise"):
             x = system.solve(rhs)
             sweep = system._sweep
-            system._sweep = lambda r: sweep(r) * (1.0 + 1e-8)
+
+            def perturbed(r, out):
+                sweep(r, out)
+                out *= 1.0 + 1e-8
+
+            system._sweep = perturbed
             with pytest.raises(SolverFailure):
                 system.solve(rhs)
         assert np.all(np.isfinite(x))
@@ -255,10 +269,91 @@ class TestSystem:
             assemble_system(factors, 1.0, basis)
 
     def test_residual_is_the_assembled_matvec(self):
+        # a group of three rows, each against its own product; a zero
+        # right-hand side leaves the product itself as the residual
         system = build_system(build_mesh(8), Basis(2), 3.0, 2.5)
-        x = np.random.default_rng(9).standard_normal(system.matrix.shape[0])
-        ref = system.matrix @ x
-        assert np.max(np.abs(system._apply(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        x = np.random.default_rng(9).standard_normal((3, system.matrix.shape[0]))
+        ref = (system.matrix @ x.T).T
+        got = np.zeros_like(x)
+        system._residuals(x, got)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestGroupSolve:
+    """LDGSystem.solve on a group of g consecutive steps coupled by CQ weights."""
+
+    @staticmethod
+    def _group(n, k, g):
+        weights = cq_weights(0.5, 0.01, max(g, 1))
+        system = build_system(build_mesh(n), Basis(k), weights.d[0], 1.0)
+        rhs = np.random.default_rng(n * 100 + k * 10 + g).standard_normal(
+            (g, (n * (k + 1)) ** 2))
+        return system, weights.d[1:g], rhs
+
+    @staticmethod
+    def _loop(system, coupling, rhs):
+        """The group by forward substitution with 1-D solves, and each row's right-hand side."""
+        x = np.empty_like(rhs)
+        eff = np.empty_like(rhs)
+        for r in range(rhs.shape[0]):
+            eff[r] = rhs[r] - coupling[r - 1::-1] @ x[:r] if r else rhs[r]
+            x[r] = system.solve(eff[r])
+        return x, eff
+
+    @pytest.mark.parametrize("g", [1, 5, 16])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_matches_loop_of_single_solves(self, n, k, g):
+        system, coupling, rhs = self._group(n, k, g)
+        ref, _ = self._loop(system, coupling, rhs)
+        out = np.empty_like(rhs)
+        assert system.solve(rhs.copy(), coupling, out=out) is out
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("g", [1, 5, 16])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_perturbed_row_is_named(self, n, k, g):
+        # the middle row's sweep is off by 1e-8, a later one's by 3e-8: the
+        # message names the middle row's ratio, computed from the assembled
+        # matrix; the rows before it are exact, so its right-hand side is too
+        system, coupling, rhs = self._group(n, k, g)
+        ref, eff = self._loop(system, coupling, rhs)
+        mid = g // 2
+        errors = {mid: 1e-8, g - 1: 3e-8} if g - 1 > mid else {mid: 1e-8}
+        sweep = system._sweep
+        rows = iter(range(g))
+
+        def perturbed(r, out):
+            sweep(r, out)
+            out *= 1.0 + errors.get(next(rows), 0.0)
+
+        system._sweep = perturbed
+        x = ref[mid] * (1.0 + 1e-8)
+        ratio = np.linalg.norm(system.matrix @ x - eff[mid]) / np.linalg.norm(eff[mid])
+        with pytest.raises(SolverFailure, match="residual %.3e of the load" % ratio):
+            system.solve(rhs, coupling)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("g", [1, 5, 16])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_nonfinite_row_fails_without_warning(self, n, k, g, bad):
+        # the rows after the bad one are computed from its non-finite solution
+        system, coupling, rhs = self._group(n, k, g)
+        rhs[g // 2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="residual"):
+                system.solve(rhs, coupling)
+
+    def test_single_right_hand_side_left_unchanged(self):
+        system, _, rhs = self._group(2, 1, 1)
+        before = rhs[0].copy()
+        x = system.solve(rhs[0])
+        assert x.shape == before.shape
+        assert np.array_equal(rhs[0], before)
+        assert np.array_equal(x, system.solve(before[None].copy())[0])
 
 
 #: every order at which a built-in problem's temporal table is computed
@@ -301,7 +396,8 @@ class TestBlockSweep:
         for d0 in d0s:
             system = assemble_system(factors, d0, basis)
             ref = splu_sweep(system, rhs)
-            got = system._sweep(rhs)
+            got = np.empty_like(rhs)
+            system._sweep(rhs, got)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), d0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
@@ -310,9 +406,9 @@ class TestBlockSweep:
         # sweep, on the traces and trace map of a real system
         basis = Basis(2)
         system = build_system(build_mesh(n), basis, 3.7, 1.0)
-        cell, nv = system.lift.shape
+        nv, cell = system.lift_t.shape
         right = system.right
-        transfer = (right @ system.lift.reshape(right.size, -1)).reshape(nv, nv)
+        transfer = (right @ system.lift_t.T.reshape(right.size, -1)).reshape(nv, nv)
         y = np.random.default_rng(n).standard_normal((n, cell))
         traces = right @ y.reshape(n, right.size, nv)
         ref = trace_loop(traces.copy(), transfer)
@@ -501,7 +597,7 @@ class TestHistoryEngine:
 
     def test_far_field_peak_memory(self):
         # past the returned array: the accumulators, one level per node, and
-        # chunk temporaries of at most FAR_CHUNK_BYTES
+        # chunk temporaries of at most BUFFER_BYTES
         steps = 2000
         levels, peak = self._march_peak(16, 1, steps)
         nodes = soe_rule(0.5, steps, HISTORY_WINDOW)[0].size
@@ -538,6 +634,17 @@ class TestRun:
         problem = get_problem("ex1a", 0.5, t_final)
         with pytest.raises(PreconditionError, match="finite"):
             run(problem, 2, 1, tau, theta)
+
+    @pytest.mark.parametrize("final_first", [True, False])
+    def test_fields_built_lazily_from_levels(self, final_first):
+        traj = run(get_problem("ex1a", 0.5), 2, 1, 0.25)
+        assert "fields" not in vars(traj) and "final" not in vars(traj)
+        final = traj.final if final_first else traj.fields[-1]
+        assert traj.final is traj.fields[-1] is final
+        assert len(traj.fields) == traj.levels.shape[0] == 5
+        for fld, level in zip(traj.fields, traj.levels):
+            assert np.shares_memory(fld.coeffs, level)
+            assert np.array_equal(as_vector(fld.coeffs), level)
 
     def test_trajectory_layout(self):
         traj = run(get_problem("ex1a", 0.5), 2, 1, 0.25)

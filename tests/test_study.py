@@ -21,10 +21,12 @@ from fkramers import (
     nodal_values,
     rates_from_errors,
     regularity_diagnostic,
+    run,
     spatial_study,
     stability_probe,
     temporal_study,
 )
+from fkramers.ldg import as_vector
 from fkramers.study import trajectory_growth
 
 
@@ -270,6 +272,16 @@ class TestRegularity:
     def test_too_few_steps_rejected(self):
         with pytest.raises(PreconditionError):
             regularity_diagnostic(get_problem("ex1b", 0.5), n=2, k=1, tau=0.5)
+
+    def test_quotients_match_field_differences(self):
+        # the quotients come from the rows of the levels array; they must be
+        # bitwise those of the differences of the trajectory's fields
+        problem = get_problem("ex1b", 0.5)
+        fit = regularity_diagnostic(problem, n=4, k=1, tau=1.0 / 16)
+        traj = run(problem, 4, 1, 1.0 / 16)
+        vecs = [as_vector(f.coeffs) for f in traj.fields]
+        ref = np.array([np.linalg.norm(b - a, axis=0) for a, b in zip(vecs, vecs[1:])]) / traj.tau
+        assert np.array_equal(fit.quotients, ref)
 
     def test_peak_memory_close_to_levels(self):
         # the differences are taken pair by pair, so no stacked copy of the
