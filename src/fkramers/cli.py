@@ -70,21 +70,6 @@ _FLOAT_FIELDS = {"alpha", "tau", "t_final", "theta"}
 _TUPLE_FIELDS = {"n_list", "inv_taus"}
 
 
-def render(config):
-    """Config-file text whose parse reproduces `config` exactly."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if f.name in _TUPLE_FIELDS:
-            value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append("%s = %s" % (f.name, value))
-    return "\n".join(lines) + "\n"
-
-
 def _coerce(name, raw):
     try:
         if name in _INT_FIELDS:

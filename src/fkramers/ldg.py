@@ -28,7 +28,8 @@ assembled sparse operator on request (`assemble_spatial`, `LDGSystem.matrix`
 and `LDGSystem.lu`).
 
 The source is projected once per run, one array per separable term
-(`load_vector`), so the load of a step is one small matrix-vector product.
+(`load_vector`), and each amplitude is sampled once at all step times, so
+the loads of a group of steps are one small matrix product.
 Time stepping (`march`) sums the convolution-quadrature history over blocks
 of HISTORY_BLOCK steps: directly, by one Toeplitz product per block, for the
 lags within HISTORY_WINDOW, and by sum-of-exponentials accumulators beyond
@@ -482,9 +483,9 @@ def _require_run_memory(n, basis, steps, terms=0):
     what set-up holds at once: the x-cell block A, its inverse and lift, the
     ceil(log2 n) powers of the trace scan, the block of near-field weights
     and a group's right-hand sides; the projections of the `terms` source
-    factors, one level each; past the history window, the far-field
-    accumulators, one level per node of `soe_rule`.  Call it before
-    allocating any of them.
+    factors, one level each, and their amplitudes, steps + 1 each; past the
+    history window, the far-field accumulators, one level per node of
+    `soe_rule`.  Call it before allocating any of them.
     """
     if not isinstance(n, Integral) or n < 1:
         return  # build_mesh names the bad resolution
@@ -493,7 +494,7 @@ def _require_run_memory(n, basis, steps, terms=0):
     doubles = (int(n) * (m + 1)) ** 2 + (steps + 1) * block ** 2
     if steps:
         doubles += 2 * (steps + 1) + 6 * block ** 2 + 2 * (block * m) ** 2 + m * block ** 2
-        doubles += (int(n) - 1).bit_length() * block ** 2 + terms * block ** 2
+        doubles += (int(n) - 1).bit_length() * block ** 2 + terms * (block ** 2 + steps + 1)
         doubles += HISTORY_BLOCK * HISTORY_WINDOW + _group_rows(block ** 2) * block ** 2
     if steps > HISTORY_WINDOW + HISTORY_BLOCK:
         # log2 of the int steps, which may exceed the float range
@@ -509,10 +510,12 @@ def _require_run_memory(n, basis, steps, terms=0):
         )
 
 
-def march(system, weights, g0_vec, load_fn, steps):
+def march(system, weights, g0_vec, source, steps):
     """Run the stepping loop on raw vectors; returns all levels, shape (steps+1, ndof).
 
-    load_fn(n) must return the raveled load at t_n, or None when source-free.
+    `source` is None when source-free, else a pair (amplitudes, factors):
+    the (steps+1, K) array amplitudes[n, k] = a_k(t_n) and the (K, ndof)
+    raveled projections P_k, so the load of step n is amplitudes[n] @ factors.
 
     The history sum -sum_{j=1}^{n-1} d_j g^{n-j} is taken over blocks of
     HISTORY_BLOCK steps.  Before a block is solved, its rows of the returned
@@ -532,9 +535,10 @@ def march(system, weights, g0_vec, load_fn, steps):
     sides fit BUFFER_BYTES (:func:`_group_rows`), one LDGSystem.solve call
     per group.  A group's buffer receives the partial-sum term, the
     accumulated history, the lags from the block's earlier groups (one more
-    Toeplitz GEMM) and the loads; the solve adds the lags inside the group
-    step by step and writes the solutions into the group's rows.  At
-    alpha = 1 the weights vanish beyond lag 1, so no accumulator is kept.
+    Toeplitz GEMM) and the loads (one product of the group's amplitudes with
+    the factors); the solve adds the lags inside the group step by step and
+    writes the solutions into the group's rows.  At alpha = 1 the weights
+    vanish beyond lag 1, so no accumulator is kept.
     Storage is the returned array, the accumulators (one row of ndof per
     node), the group buffer, temporaries of at most BUFFER_BYTES each in the
     far field and a few of one group's size in its solve.
@@ -552,6 +556,7 @@ def march(system, weights, g0_vec, load_fn, steps):
     # inside[r, c] = d[r - c] below the diagonal: lags between rows of one block
     lag = np.subtract.outer(np.arange(HISTORY_BLOCK), np.arange(HISTORY_BLOCK))
     inside = np.where(lag > 0, d[np.clip(lag, 0, steps)], 0.0)
+    amplitudes, factors = (None, None) if source is None else source
     rows = _group_rows(g0_vec.size)
     rhs = np.empty((min(rows, steps), g0_vec.size))
     for lo in range(1, steps + 1, HISTORY_BLOCK):
@@ -568,10 +573,8 @@ def march(system, weights, g0_vec, load_fn, steps):
             group -= levels[glo:ghi]
             if glo > lo:
                 group -= inside[glo - lo:ghi - lo, :glo - lo] @ levels[lo:glo]
-            for n in range(glo, ghi):
-                extra = load_fn(n)
-                if extra is not None:
-                    group[n - glo] += extra
+            if factors is not None:
+                group += amplitudes[glo:ghi] @ factors
             system.solve(group, d[1:ghi - glo], out=levels[glo:ghi])
     return levels
 
@@ -610,7 +613,8 @@ def run(problem, n, k, tau, theta=1.0):
 
     Returns the full trajectory.  T = 0 yields just the projected initial
     state.  The step system is set up, its x-cell block inverted and each
-    source factor projected exactly once; the load of step n is then
+    source factor projected exactly once, and each amplitude a_k is called
+    once, on the array of step times; the load of step n is then
     sum_k a_k(t_n) P_k.
     """
     tau = _positive_finite(tau, "time step")
@@ -631,18 +635,16 @@ def run(problem, n, k, tau, theta=1.0):
         )
     weights = cq_weights(problem.alpha, tau, steps)
     system = build_system(mesh, basis, weights.d[0], theta)
-
-    if not terms:
-        load_fn = lambda n_: None
-    else:
-        # one row per source term: its factor's projection, projected once
+    source = None
+    if terms:
+        # one row per source term: its factor's projection, projected once,
+        # and one column of amplitudes, a constant one broadcast
         factors = np.stack([as_vector(p) for p in load_vector(problem, mesh, basis)])
-
-        def load_fn(n_):
-            t = times[n_]
-            return np.array([a(t) for a, _ in terms]) @ factors
-
-    levels = march(system, weights, as_vector(g0_field.coeffs), load_fn, steps)
+        amplitudes = np.empty((steps + 1, len(terms)))
+        for column, (a, _) in zip(amplitudes.T, terms):
+            column[...] = a(times)
+        source = (amplitudes, factors)
+    levels = march(system, weights, as_vector(g0_field.coeffs), source, steps)
     return Trajectory(
         problem=problem, mesh=mesh, basis=basis, tau=tau, theta=theta,
         times=times, levels=levels, system=system,

@@ -27,7 +27,9 @@ class ProblemSpec:
     """One concrete problem instance.
 
     `source_terms` is a tuple of pairs (a_k, F_k): the source is
-    f(x, v, t) = sum_k a_k(t) F_k(x, v), and no terms means no source.
+    f(x, v, t) = sum_k a_k(t) F_k(x, v), and no terms means no source.  A
+    run calls each a_k once, with the array of its step times, and a_k may
+    return a scalar for a constant amplitude.
     `exact` may be None (no closed-form solution).  `discontinuities` lists
     coordinates of jump lines in the data; meshes must place cell boundaries
     on every such line in both directions, otherwise cell-wise quadrature of

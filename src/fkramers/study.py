@@ -198,7 +198,11 @@ def temporal_study(problem, n=16, k=1, inv_taus=DEFAULT_INV_TAUS, theta=1.0):
     needed = sorted(set(inv_taus) | {2 * r for r in inv_taus})
     finals = {}
     for inv in needed:
-        finals[inv] = run(problem, n, k, problem.t_final / inv, theta).final
+        final = run(problem, n, k, problem.t_final / inv, theta).final
+        # copied in the same memory order, so the sums in l2_error do not
+        # change, and unbound, so the levels of one run at a time are alive
+        finals[inv] = DGField(final.mesh, final.basis, final.coeffs.copy(order="K"))
+        del final
     errors = tuple(
         l2_error(finals[inv], finals[2 * inv]) for inv in inv_taus
     )
@@ -225,8 +229,9 @@ def spatial_study(problem, k, tau, resolutions=DEFAULT_RESOLUTIONS, theta=1.0):
     resolutions = tuple(int(r) for r in resolutions)
     errors = []
     for n in resolutions:
-        traj = run(problem, n, k, tau, theta)
-        errors.append(nodal_reconstruction_error(traj.final, problem.exact, t=problem.t_final))
+        # no name keeps a run's levels alive while the next run allocates
+        errors.append(nodal_reconstruction_error(
+            run(problem, n, k, tau, theta).final, problem.exact, t=problem.t_final))
     errors = tuple(errors)
     return ConvergenceTable(
         axis="N",
@@ -244,7 +249,7 @@ def trajectory_growth(system, weights, g0_vec, steps):
     norm0 = np.linalg.norm(g0_vec)
     if norm0 == 0.0:
         return 0.0
-    levels = march(system, weights, g0_vec, lambda n: None, steps)
+    levels = march(system, weights, g0_vec, None, steps)
     norms = np.linalg.norm(levels[1:], axis=1)
     return float(norms.max() / norm0)
 

@@ -61,7 +61,7 @@ def test_system_exposes_traced_counters():
 
 
 #: Installs the tracer as a traced benchmark execution does, runs tiny
-#: versions of five CLI commands in-process and prints the summary as JSON.
+#: versions of six CLI commands in-process and prints the summary as JSON.
 TRACED_SCRIPT = """
 import json, os, sys, time
 from spans import Tracer
@@ -76,6 +76,7 @@ commands = [
     ["stability", "--N", "2", "--tau", "0.25", "--trials", "2"],
     ["regularity", "--N", "2", "--tau", "0.125"],
     ["study-space", "--N-list", "2,4", "--tau", "0.25", "--alpha", "0.5"],
+    ["study-time", "--problem", "ex1c", "--N", "2", "--tau-list", "2,4", "--alpha", "0.5"],
 ]
 for i, argv in enumerate(commands):
     out = os.path.join(sys.argv[1], "%d.csv" % i)
@@ -102,6 +103,7 @@ def test_traced_commands_report_every_metric(tmp_path):
     assert [name for name, value in summary["metrics"].items() if value is None] == []
     assert summary["check"] is None
     metrics = summary["metrics"]
-    # one projection per run with a source: the solve and the two study runs
-    assert metrics["problems.load_calls"] == 3
+    # one projection per run with a source: the solve, the two runs of the
+    # spatial study and the three of the temporal one (1/tau = 2, 4, 8)
+    assert metrics["problems.load_calls"] == 6
     assert metrics["ldg.solve_calls"] > 0

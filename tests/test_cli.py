@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkramers import ConfigError, SolverFailure
-from fkramers.cli import RunConfig, _build_parser, main, parse, render
+from fkramers.cli import RunConfig, _build_parser, main, parse
 from fkramers.study import DEFAULT_INV_TAUS, DEFAULT_RESOLUTIONS
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
@@ -117,7 +117,11 @@ class TestConfigFile:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "case.cfg")
             with open(path, "w") as handle:
-                handle.write(render(config))
+                handle.write(
+                    "command = study-time\nproblem = ex1b\nalpha = 0.4\nn = 8\nk = 1\n"
+                    "tau = 0.01\nt_final = 1.0\ntheta = 1.0\nsteps = 10\ntrials = 10\n"
+                    "seed = 0\nfmt = markdown\nn_list = 4,8,12,16,20\ninv_taus = 10,20,40\n"
+                )
             again = parse([config.command, "--config", path])
         assert again == config
 
@@ -457,8 +461,3 @@ class TestRunConfig:
         config = RunConfig(command="solve")
         with pytest.raises(Exception):
             config.n = 3
-
-    def test_render_skips_unset_optionals(self):
-        text = render(RunConfig(command="solve"))
-        assert "alpha" not in text
-        assert "command = solve" in text

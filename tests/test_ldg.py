@@ -185,7 +185,7 @@ class TestSystem:
         system = build_system(mesh, basis, weights.d[0], 1.0)
         rng = np.random.default_rng(7)
         g0 = rng.standard_normal(16)
-        levels = march(system, weights, g0, lambda n: None, 3)
+        levels = march(system, weights, g0, None, 3)
 
         dense = system.matrix.toarray()
         d = weights.d
@@ -206,9 +206,9 @@ class TestSystem:
         rng = np.random.default_rng(11)
         u0 = rng.standard_normal(16)
         v0 = rng.standard_normal(16)
-        lu = march(system, weights, u0, lambda n: None, 4)
-        lv = march(system, weights, v0, lambda n: None, 4)
-        lw = march(system, weights, u0 + v0, lambda n: None, 4)
+        lu = march(system, weights, u0, None, 4)
+        lv = march(system, weights, v0, None, 4)
+        lw = march(system, weights, u0 + v0, None, 4)
         assert np.max(np.abs(lw - (lu + lv))) <= 1e-11
 
     def test_matrix_unchanged_by_march(self):
@@ -217,7 +217,7 @@ class TestSystem:
         weights = cq_weights(0.5, 0.1, 5)
         system = build_system(mesh, basis, weights.d[0], 1.0)
         before = system.matrix.toarray().tobytes()
-        march(system, weights, np.ones(16), lambda n: None, 5)
+        march(system, weights, np.ones(16), None, 5)
         assert system.matrix.toarray().tobytes() == before
 
     def test_solver_failure_on_nonfinite_load(self):
@@ -509,7 +509,7 @@ class TestHistoryEngine:
         weights = cq_weights(alpha, 0.01, steps)
         system = build_system(mesh, basis, weights.d[0], 1.0)
         g0 = np.random.default_rng(steps).standard_normal(16)
-        got = march(system, weights, g0, lambda n: None, steps)
+        got = march(system, weights, g0, None, steps)
         ref = reference_march(system, weights, g0, lambda n: None, steps)
         assert_levels_close(got, ref, 1e-12)
 
@@ -545,19 +545,31 @@ class TestHistoryEngine:
         weights = cq_weights(alpha, 0.01, steps)
         system = build_system(build_mesh(2), Basis(1), weights.d[0], 1.0)
         g0 = np.random.default_rng(steps).standard_normal(16)
-        got = march(system, weights, g0, lambda n: None, steps)
+        got = march(system, weights, g0, None, steps)
         ref = reference_march(system, weights, g0, lambda n: None, steps)
         assert_levels_close(got, ref, 1e-12)
 
     def test_far_field_with_load_matches_direct_sum(self):
-        steps = 3 * HISTORY_WINDOW + 5
+        # N = 2 solves each block in one group of 16 steps
+        self._check_load(2, 3 * HISTORY_WINDOW + 5)
+
+    def test_far_field_with_load_in_split_groups_matches_direct_sum(self):
+        # N = 12, k = 1 solves each block in groups of 14 and 2 steps; the
+        # far field is active from step W + B + 1
+        self._check_load(12, HISTORY_WINDOW + HISTORY_BLOCK + 17)
+
+    @staticmethod
+    def _check_load(n, steps):
         weights = cq_weights(0.5, 0.01, steps)
-        system = build_system(build_mesh(2), Basis(1), weights.d[0], 1.0)
+        system = build_system(build_mesh(n), Basis(1), weights.d[0], 1.0)
         rng = np.random.default_rng(7)
-        g0 = rng.standard_normal(16)
-        loads = rng.standard_normal((steps + 1, 16))
-        got = march(system, weights, g0, lambda n: loads[n], steps)
-        ref = reference_march(system, weights, g0, lambda n: loads[n], steps)
+        ndof = (2 * n) ** 2
+        g0 = rng.standard_normal(ndof)
+        amplitudes = rng.standard_normal((steps + 1, 3))
+        factors = rng.standard_normal((3, ndof))
+        got = march(system, weights, g0, (amplitudes, factors), steps)
+        # the reference forms each step's load on its own
+        ref = reference_march(system, weights, g0, lambda m: amplitudes[m] @ factors, steps)
         assert_levels_close(got, ref, 1e-12)
 
     def test_peak_memory_close_to_levels(self):
@@ -570,29 +582,34 @@ class TestHistoryEngine:
         g0 = np.random.default_rng(1).standard_normal(16 * 16 * 4)
         tracemalloc.start()
         try:
-            levels = march(system, weights, g0, lambda n: None, steps)
+            levels = march(system, weights, g0, None, steps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * levels.nbytes
 
     @staticmethod
-    def _march_peak(n, k, steps):
+    def _march_peak(n, k, steps, terms=0):
         weights = cq_weights(0.5, 1.0 / steps, steps)
         system = build_system(build_mesh(n), Basis(k), weights.d[0], 1.0)
-        g0 = np.random.default_rng(1).standard_normal((n * (k + 1)) ** 2)
+        rng = np.random.default_rng(1)
+        g0 = rng.standard_normal((n * (k + 1)) ** 2)
+        source = None
+        if terms:
+            source = (rng.standard_normal((steps + 1, terms)), rng.standard_normal((terms, g0.size)))
         tracemalloc.start()
         try:
-            levels = march(system, weights, g0, lambda m: None, steps)
+            levels = march(system, weights, g0, source, steps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return levels, peak
 
     def test_near_field_allocates_no_block_of_levels(self):
-        # a fine mesh over a few blocks: the near field writes into the
-        # returned array, so past it only a step's vectors are allocated
-        levels, peak = self._march_peak(64, 2, 50)
+        # a fine mesh over a few blocks, with a two-term source: the near
+        # field writes into the returned array, so past it only a step's
+        # vectors are allocated, the loads of a group included
+        levels, peak = self._march_peak(64, 2, 50, terms=2)
         assert peak <= levels.nbytes + 2 ** 20
 
     def test_far_field_peak_memory(self):
@@ -664,6 +681,32 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * (steps + 1) * (16 * 16 * 4) * 8
+
+    def test_source_amplitudes_evaluated_once(self):
+        calls = []
+
+        def ramp(t):
+            calls.append("ramp")
+            return 2.0 * t
+
+        def constant(t):
+            calls.append("constant")
+            return 0.5
+
+        problem = ProblemSpec(
+            name="ramp", alpha=0.5, t_final=1.0, g0=lambda x, v: 0.0, exact=None,
+            source_terms=((ramp, lambda x, v: x * v), (constant, lambda x, v: 1.0)),
+        )
+        steps = 20
+        traj = run(problem, 2, 1, 1.0 / steps)
+        assert sorted(calls) == ["constant", "ramp"]
+        # the constant's scalar is broadcast over the steps: the loads match
+        # the source projected step by step
+        ref = reference_march(
+            traj.system, cq_weights(0.5, 1.0 / steps, steps), traj.levels[0],
+            lambda m: as_vector(load_at(problem, traj.times[m], traj.mesh, traj.basis)), steps,
+        )
+        assert_levels_close(traj.levels, ref, 1e-12)
 
     def test_run_agrees_with_manual_steps(self):
         # drive the direct-sum reference loop with the same loads and compare

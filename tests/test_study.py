@@ -184,6 +184,18 @@ class TestTemporalStudy:
         with pytest.raises(PreconditionError):
             temporal_study(get_problem("ex1a", 0.5), n=2, k=1, inv_taus=(0, 4))
 
+    def test_peak_memory_close_to_levels_of_one_run(self):
+        # each final is kept as a copy, so the levels of the 80- and 160-step
+        # runs are freed before the 320-step one allocates
+        temporal_study(get_problem("ex1a", 0.5), n=2, k=1, inv_taus=(2,))  # warm the caches
+        tracemalloc.start()
+        try:
+            temporal_study(get_problem("ex1a", 0.5), n=16, k=1, inv_taus=(80, 160))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (320 + 1) * (16 * 16 * 4) * 8
+
 
 class TestSpatialStudy:
     def test_smoke_second_order(self):
@@ -195,6 +207,17 @@ class TestSpatialStudy:
     def test_needs_exact_solution(self):
         with pytest.raises(PreconditionError):
             spatial_study(get_problem("ex1a", 0.5), 1, 0.1, resolutions=(2, 4))
+
+    def test_peak_memory_close_to_levels_of_one_run(self):
+        # the N = 16 run is freed before the N = 20 one allocates
+        spatial_study(get_problem("ex2", 0.5), 2, 0.25, resolutions=(2, 4))  # warm the caches
+        tracemalloc.start()
+        try:
+            spatial_study(get_problem("ex2", 0.5), 2, 0.005, resolutions=(16, 20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (200 + 1) * (20 * 20 * 9) * 8
 
 
 class TestTable:
