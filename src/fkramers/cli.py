@@ -86,7 +86,8 @@ def _coerce(name, raw):
 def _read_config_file(path):
     values = {}
     try:
-        text = open(path).read()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as exc:
         raise ConfigError("cannot read config file %r: %s" % (path, exc)) from exc
     known = {f.name for f in fields(RunConfig)}
@@ -161,6 +162,8 @@ def _validate(config):
     if any(r < 1 for r in config.n_list) or any(r < 1 for r in config.inv_taus):
         raise ConfigError("resolution lists must contain positive integers")
     for flag, values in (("N-list", config.n_list), ("tau-list", config.inv_taus)):
+        if not values:
+            raise ConfigError("--%s holds no resolution" % (flag,))
         if len(set(values)) < len(values):
             raise ConfigError("--%s repeats a resolution: %s" % (flag, ",".join(map(str, values))))
 

@@ -34,11 +34,12 @@ Time stepping (`march`) sums the convolution-quadrature history over blocks
 of HISTORY_BLOCK steps: directly, by one Toeplitz product per block, for the
 lags within HISTORY_WINDOW, and by sum-of-exponentials accumulators beyond
 it, so a run costs O(steps (HISTORY_WINDOW + nodes)) vector operations and
-keeps every level plus one accumulator per exponential.  Each block is
-solved in groups of consecutive steps, as many as fit BUFFER_BYTES: one
-`LDGSystem.solve` call sweeps a group's steps one after the other and then
-checks all their residuals in one batched pass, since a step needs the
-solution of the step before it but not its residual.
+keeps every level plus one accumulator per exponential.  The lags within
+a block enter in `LDGSystem.solve`, which reads the block's solved rows.
+Each block is solved in groups of consecutive steps, as many as fit
+BUFFER_BYTES: one `solve` call sweeps a group's steps one after the other
+and then checks all their residuals in one batched pass, since a step needs
+the solution of the step before it but not its residual.
 """
 
 from __future__ import annotations
@@ -229,20 +230,20 @@ class LDGSystem:
     def solve(self, rhs, coupling=(), out=None):
         """Solve a group of g consecutive time steps; raise SolverFailure if one fails.
 
-        Row r of the (g, ndof) array `rhs` holds step r's right-hand side with
-        its history, partial-sum and load terms; `coupling` holds the CQ
-        weights d_1 .. d_{g-1} through which the earlier rows of the group
-        enter, so row r solves
+        `out` (a new array if None) has shape (p + g, ndof); its first p rows
+        are earlier solutions, read but not written.  Row r of the (g, ndof)
+        `rhs` holds step p + r's history, partial-sum and load terms, and
+        `coupling` the CQ weights d_1 .. d_{p+g-1}, so row r solves
 
-            (d0 I + spatial) x_r = rhs_r - sum_{j=1}^{r} d_j x_{r-j}
+            (d0 I + spatial) x_{p+r} = rhs_r - sum_{j=1}^{p+r} d_j x_{p+r-j}
 
-        by forward substitution in time, one sweep per row, into row r of
-        `out` (a new array if None).  Then every row's residual is checked in
-        one pass, and the first row whose residual exceeds SOLVE_RTOL of its
-        right-hand side, both in the 2-norm, raises SolverFailure; the rows
-        after it were computed from its solution.  `rhs` is the residual's
-        buffer and so is overwritten.  A 1-D `rhs` is a group of one step:
-        it is left as it is, and the solution is returned as a new 1-D array.
+        by forward substitution in time, one sweep per row, into row p + r of
+        `out`.  Then every new row's residual is checked in one pass, and the
+        first row whose residual exceeds SOLVE_RTOL of its right-hand side,
+        both in the 2-norm, raises SolverFailure; the rows after it were
+        computed from its solution.  `rhs` is the residual's buffer and so is
+        overwritten.  A 1-D `rhs` is a group of one step: it is left as it
+        is, and the solution is returned as a new 1-D array.
         """
         if rhs.ndim == 1:
             x = np.empty_like(rhs)
@@ -250,17 +251,18 @@ class LDGSystem:
             return x
         if out is None:
             out = np.empty_like(rhs)
-        lags = np.ascontiguousarray(coupling[::-1])  # d_{g-1} .. d_1; a reversed view is slow
+        p = out.shape[0] - rhs.shape[0]
+        lags = np.ascontiguousarray(coupling[::-1])  # d_{p+g-1} .. d_1; a reversed view is slow
         # a failed row feeds non-finite values into the later rows; the check
         # below reports the first failed row, so no overflow warning is needed
         with np.errstate(all="ignore"):
-            for r in range(rhs.shape[0]):
+            for r in range(p, out.shape[0]):
                 if r:
-                    rhs[r] -= lags[lags.size - r:] @ out[:r]
-                self._sweep(rhs[r], out[r])
+                    rhs[r - p] -= lags[lags.size - r:] @ out[:r]
+                self._sweep(rhs[r - p], out[r])
             load, e = _scaled_row_norms(rhs)
             np.maximum(load, np.ldexp(1e-30, -e), out=load)
-            self._residuals(out, rhs)
+            self._residuals(out[p:], rhs)
             resid, e_resid = _scaled_row_norms(rhs)
             ratio = np.ldexp(resid / load, e_resid - e)
         failed = np.flatnonzero(~(ratio <= SOLVE_RTOL))
@@ -454,7 +456,7 @@ def _integral_steps(t_final, tau):
 
 
 #: Steps per block of the history engine: the lags from before a block enter
-#: it in a few GEMMs, those inside it group by group and step by step.
+#: it in a few GEMMs, those inside it step by step in LDGSystem.solve.
 HISTORY_BLOCK = 16
 
 #: Lags up to HISTORY_WINDOW are summed directly; longer ones come from the
@@ -534,9 +536,9 @@ def march(system, weights, g0_vec, source, steps):
     A block is then solved in groups of consecutive steps whose right-hand
     sides fit BUFFER_BYTES (:func:`_group_rows`), one LDGSystem.solve call
     per group.  A group's buffer receives the partial-sum term, the
-    accumulated history, the lags from the block's earlier groups (one more
-    Toeplitz GEMM) and the loads (one product of the group's amplitudes with
-    the factors); the solve adds the lags inside the group step by step and
+    accumulated history and the loads (one product of the group's amplitudes
+    with the factors); the solve, handed the block's rows up to the group's
+    end, adds the lags from all earlier rows of the block step by step and
     writes the solutions into the group's rows.  At alpha = 1 the weights
     vanish beyond lag 1, so no accumulator is kept.
     Storage is the returned array, the accumulators (one row of ndof per
@@ -553,9 +555,6 @@ def march(system, weights, g0_vec, source, steps):
     # near[r, c] = d[W + r - c], the weight from column c of a window to row r
     near = d[np.minimum(np.subtract.outer(np.arange(HISTORY_BLOCK), np.arange(HISTORY_WINDOW))
                         + HISTORY_WINDOW, steps)]
-    # inside[r, c] = d[r - c] below the diagonal: lags between rows of one block
-    lag = np.subtract.outer(np.arange(HISTORY_BLOCK), np.arange(HISTORY_BLOCK))
-    inside = np.where(lag > 0, d[np.clip(lag, 0, steps)], 0.0)
     amplitudes, factors = (None, None) if source is None else source
     rows = _group_rows(g0_vec.size)
     rhs = np.empty((min(rows, steps), g0_vec.size))
@@ -571,11 +570,9 @@ def march(system, weights, g0_vec, source, steps):
             group = rhs[:ghi - glo]
             np.multiply.outer(s[glo - 1:ghi - 1], g0_vec, out=group)
             group -= levels[glo:ghi]
-            if glo > lo:
-                group -= inside[glo - lo:ghi - lo, :glo - lo] @ levels[lo:glo]
             if factors is not None:
                 group += amplitudes[glo:ghi] @ factors
-            system.solve(group, d[1:ghi - glo], out=levels[glo:ghi])
+            system.solve(group, d[1:ghi - lo], out=levels[lo:ghi])
     return levels
 
 

@@ -47,8 +47,7 @@ def rates_from_errors(resolutions, errors):
 class ConvergenceTable:
     """One refinement sweep at a fixed fractional order.
 
-    `axis` names the refined quantity ("1/tau" or "N"); `params` records the
-    quantities held fixed.
+    `axis` names the refined quantity ("1/tau" or "N").
     """
 
     axis: str
@@ -57,7 +56,6 @@ class ConvergenceTable:
     resolutions: tuple
     errors: tuple
     rates: tuple
-    params: tuple = ()
 
     def __post_init__(self):
         if len(self.rates) != len(self.errors) - 1:
@@ -193,8 +191,8 @@ def temporal_study(problem, n=16, k=1, inv_taus=DEFAULT_INV_TAUS, theta=1.0):
     halved runs are shared between neighboring resolutions.
     """
     inv_taus = tuple(int(r) for r in inv_taus)
-    if any(r < 1 for r in inv_taus):
-        raise PreconditionError("temporal resolutions must be positive integers")
+    if not inv_taus or any(r < 1 for r in inv_taus):
+        raise PreconditionError("temporal study needs positive resolutions, got %r" % (inv_taus,))
     needed = sorted(set(inv_taus) | {2 * r for r in inv_taus})
     finals = {}
     for inv in needed:
@@ -213,7 +211,6 @@ def temporal_study(problem, n=16, k=1, inv_taus=DEFAULT_INV_TAUS, theta=1.0):
         resolutions=inv_taus,
         errors=errors,
         rates=rates_from_errors(inv_taus, errors),
-        params=(("problem", problem.name), ("N", n), ("T", problem.t_final), ("theta", theta)),
     )
 
 
@@ -227,6 +224,8 @@ def spatial_study(problem, k, tau, resolutions=DEFAULT_RESOLUTIONS, theta=1.0):
     if problem.exact is None:
         raise PreconditionError("spatial study needs a problem with an exact solution")
     resolutions = tuple(int(r) for r in resolutions)
+    if not resolutions:
+        raise PreconditionError("spatial study needs at least one resolution, got ()")
     errors = []
     for n in resolutions:
         # no name keeps a run's levels alive while the next run allocates
@@ -240,7 +239,6 @@ def spatial_study(problem, k, tau, resolutions=DEFAULT_RESOLUTIONS, theta=1.0):
         resolutions=resolutions,
         errors=errors,
         rates=rates_from_errors(resolutions, errors),
-        params=(("problem", problem.name), ("tau", tau), ("T", problem.t_final), ("theta", theta)),
     )
 
 

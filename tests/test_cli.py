@@ -198,6 +198,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and "repeats a resolution" in err
 
+    @pytest.mark.parametrize("argv, config, flag", [
+        (["study-space", "--N-list="], None, "--N-list"),
+        (["study-time", "--tau-list=,,"], None, "--tau-list"),
+        (["study-space"], "n_list =\n", "--N-list"),
+    ])
+    def test_empty_resolution_list_exit_two(self, capsys, tmp_path, argv, config, flag):
+        if config is not None:
+            path = tmp_path / "c.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and flag in err
+
     def test_solver_failure_exit_three(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise SolverFailure("synthetic breakdown")
@@ -357,11 +371,11 @@ class TestMain:
     def test_stability_output_and_determinism(self, capsys, tmp_path):
         argv = ["stability", "--N", "2", "--tau", "0.25", "--trials", "2",
                 "--seed", "3", "--alpha", "0.5"]
-        f1, f2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        assert main(argv + ["--out", f1]) == 0
-        assert main(argv + ["--out", f2]) == 0
-        b1 = open(f1, "rb").read()
-        assert b1 == open(f2, "rb").read()
+        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(f1)]) == 0
+        assert main(argv + ["--out", str(f2)]) == 0
+        b1 = f1.read_bytes()
+        assert b1 == f2.read_bytes()
         assert b1.decode().split("\n")[0] == "alpha,trial,ratio"
         assert "observed stability constant:" in capsys.readouterr().err
 

@@ -310,6 +310,21 @@ class TestGroupSolve:
         assert system.solve(rhs.copy(), coupling, out=out) is out
         assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("p", [1, 7, 15])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_leading_rows_enter_as_lags(self, n, k, p):
+        # the first p rows of `out` are solved steps of the same block: the
+        # new rows take their lags from them, and they are not written
+        system, coupling, rhs = self._group(n, k, 16)
+        ref, _ = self._loop(system, coupling, rhs)
+        out = np.empty_like(rhs)
+        out[:p] = ref[:p]
+        leading = out[:p].copy()
+        assert system.solve(rhs[p:].copy(), coupling, out=out) is out
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.array_equal(out[:p], leading)
+
     @pytest.mark.parametrize("g", [1, 5, 16])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 16])
@@ -557,6 +572,11 @@ class TestHistoryEngine:
         # N = 12, k = 1 solves each block in groups of 14 and 2 steps; the
         # far field is active from step W + B + 1
         self._check_load(12, HISTORY_WINDOW + HISTORY_BLOCK + 17)
+
+    def test_load_in_one_row_groups_matches_direct_sum(self):
+        # N = 48, k = 1 solves every group as one row, so all but the first
+        # step of a block take their in-block lags from the solve alone
+        self._check_load(48, 40)
 
     @staticmethod
     def _check_load(n, steps):

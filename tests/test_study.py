@@ -184,6 +184,13 @@ class TestTemporalStudy:
         with pytest.raises(PreconditionError):
             temporal_study(get_problem("ex1a", 0.5), n=2, k=1, inv_taus=(0, 4))
 
+    def test_empty_resolutions_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr("fkramers.study.run", lambda *args: pytest.fail("a run started"))
+        with pytest.raises(PreconditionError, match=r"resolutions, got \(\)"):
+            temporal_study(get_problem("ex1a", 0.5), n=2, k=1, inv_taus=())
+        with pytest.raises(PreconditionError, match=r"resolution, got \(\)"):
+            spatial_study(get_problem("ex2", 0.5), 1, 0.25, resolutions=())
+
     def test_peak_memory_close_to_levels_of_one_run(self):
         # each final is kept as a copy, so the levels of the 80- and 160-step
         # runs are freed before the 320-step one allocates
