@@ -20,6 +20,7 @@ from .errors import (
     ConfigError, OrderOutOfRange, PreconditionError, SolverFailure, require_memory,
 )
 from .ldg import field_to_csv, run
+from .mesh import MAX_QUAD_POINTS
 from .problems import PROBLEM_IDS, get_problem
 from .study import (
     DEFAULT_INV_TAUS,
@@ -46,10 +47,10 @@ STABILITY_ALPHAS = (0.3, 0.5, 0.8)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one CLI invocation."""
+    """Settings for one CLI invocation; `parse` fills the command-dependent ones."""
 
     command: str
-    problem: str = "ex1a"
+    problem: Optional[str] = None
     alpha: Optional[float] = None
     n: Optional[int] = None
     k: int = 1
@@ -141,8 +142,10 @@ def _validate(config):
         raise OrderOutOfRange("alpha must lie in (0, 1], got %r" % (config.alpha,))
     if config.n is not None and config.n < 1:
         raise ConfigError("N must be a positive integer, got %r" % (config.n,))
-    if config.k < 1:
-        raise ConfigError("element degree k must be >= 1, got %r" % (config.k,))
+    # assembly integrates with k + 2 Gauss points
+    if not 1 <= config.k <= MAX_QUAD_POINTS - 2:
+        raise ConfigError("element degree k must be in [1, %d], got %r"
+                          % (MAX_QUAD_POINTS - 2, config.k))
     if config.tau is not None and not (math.isfinite(config.tau) and config.tau > 0.0):
         raise ConfigError("tau must be positive and finite, got %r" % (config.tau,))
     if not (math.isfinite(config.t_final) and config.t_final >= 0.0):
@@ -199,27 +202,21 @@ def parse(argv):
 
 
 def _apply_command_defaults(config):
-    updates = {}
-    if config.n is None:
-        updates["n"] = 8 if config.command == "stability" else 16
-    if config.tau is None:
-        if config.command == "study-space":
-            updates["tau"] = 0.005 if config.k >= 2 else 0.01
-        elif config.command == "stability":
-            updates["tau"] = 0.02
-        elif config.command == "cq-weights":
-            updates["tau"] = 1.0
-        else:
-            updates["tau"] = 0.01
-    if config.command == "study-space" and config.problem == "ex1a":
-        # the smooth manufactured problem is the only one with an exact solution
-        updates["problem"] = "ex2"
-    if config.command == "regularity" and config.problem == "ex1a":
-        updates["problem"] = "ex1b"
-    return replace(config, **updates) if updates else config
+    """Fill the problem, N and tau that neither the flags nor a config file set."""
+    command = config.command
+    defaults = {
+        # ex2 is the only problem with an exact solution; ex1b has rough data
+        "problem": {"study-space": "ex2", "regularity": "ex1b"}.get(command, "ex1a"),
+        "n": 8 if command == "stability" else 16,
+        "tau": {"study-space": 0.005 if config.k >= 2 else 0.01, "stability": 0.02,
+                "cq-weights": 1.0}.get(command, 0.01),
+    }
+    return replace(config, **{name: value for name, value in defaults.items()
+                              if getattr(config, name) is None})
 
 
-def _default_alphas(config):
+def _alphas(config):
+    """The fractional orders the command runs at: `--alpha`, else its default."""
     if config.alpha is not None:
         return (config.alpha,)
     if config.command == "study-time":
@@ -235,8 +232,11 @@ def _emit(config, text):
     if config.out is None:
         sys.stdout.write(text)
         return
-    with open(config.out, "w") as handle:
-        handle.write(text)
+    try:
+        with open(config.out, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write --out %r: %s" % (config.out, exc.strerror or exc)) from exc
 
 
 def _note_ex2(config):
@@ -260,11 +260,14 @@ def _stack_tables(tables, fmt):
 def execute(config):
     """Run the configured command; returns a process exit code.
 
-    0 on success, 2 for configuration errors, 3 for solver failures, 4 for
-    violated numerical preconditions.
+    0 on success, 2 for configuration errors (an unwritable `--out` among
+    them), 3 for solver failures, 4 for violated numerical preconditions.
     """
     try:
         _dispatch(config)
+    except ConfigError as exc:
+        sys.stderr.write("configuration error: %s\n" % exc)
+        return 2
     except SolverFailure as exc:
         sys.stderr.write("solver failure: %s\n" % exc)
         return 3
@@ -275,9 +278,9 @@ def execute(config):
 
 
 def _dispatch(config):
+    alphas = _alphas(config)
     if config.command == "cq-weights":
-        weights = cq_weights(config.alpha if config.alpha is not None else 0.5,
-                             config.tau, config.steps)
+        weights = cq_weights(alphas[0], config.tau, config.steps)
         lines = ["j,d_j,partial_sum"]
         for j in range(weights.steps + 1):
             lines.append("%d,%.3E,%.3E" % (j, weights.d[j] + 0.0, weights.partial_sums[j] + 0.0))
@@ -286,36 +289,22 @@ def _dispatch(config):
 
     _note_ex2(config)
     if config.command == "solve":
-        alpha = config.alpha if config.alpha is not None else 0.5
-        problem = get_problem(config.problem, alpha, config.t_final)
+        problem = get_problem(config.problem, alphas[0], config.t_final)
         traj = run(problem, config.n, config.k, config.tau, config.theta)
         _emit(config, field_to_csv(traj.final))
         return
 
-    if config.command == "study-time":
-        tables = []
-        for alpha in _default_alphas(config):
-            problem = get_problem(config.problem, alpha, config.t_final)
-            tables.append(
-                temporal_study(problem, n=config.n, k=config.k,
-                               inv_taus=config.inv_taus, theta=config.theta)
-            )
-        _emit(config, _stack_tables(tables, config.fmt))
-        return
-
-    if config.command == "study-space":
-        tables = []
-        for alpha in _default_alphas(config):
-            problem = get_problem(config.problem, alpha, config.t_final)
-            tables.append(
-                spatial_study(problem, k=config.k, tau=config.tau,
-                              resolutions=config.n_list, theta=config.theta)
-            )
+    if config.command in ("study-time", "study-space"):
+        if config.command == "study-time":
+            study = functools.partial(temporal_study, n=config.n, inv_taus=config.inv_taus)
+        else:
+            study = functools.partial(spatial_study, tau=config.tau, resolutions=config.n_list)
+        tables = [study(get_problem(config.problem, alpha, config.t_final),
+                        k=config.k, theta=config.theta) for alpha in alphas]
         _emit(config, _stack_tables(tables, config.fmt))
         return
 
     if config.command == "stability":
-        alphas = _default_alphas(config)
         # every output row, a string of about 80 bytes, is held until the end
         require_memory(10 * len(alphas) * config.trials,
                        "the output of %d stability trials" % config.trials)
@@ -334,8 +323,7 @@ def _dispatch(config):
         return
 
     if config.command == "regularity":
-        alpha = config.alpha if config.alpha is not None else 0.5
-        problem = get_problem(config.problem, alpha, config.t_final)
+        problem = get_problem(config.problem, alphas[0], config.t_final)
         fit = regularity_diagnostic(problem, n=config.n, k=config.k,
                                     tau=config.tau, theta=config.theta)
         lines = ["n,t,difference_quotient"]

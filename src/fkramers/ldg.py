@@ -242,13 +242,8 @@ class LDGSystem:
         first row whose residual exceeds SOLVE_RTOL of its right-hand side,
         both in the 2-norm, raises SolverFailure; the rows after it were
         computed from its solution.  `rhs` is the residual's buffer and so is
-        overwritten.  A 1-D `rhs` is a group of one step: it is left as it
-        is, and the solution is returned as a new 1-D array.
+        overwritten.
         """
-        if rhs.ndim == 1:
-            x = np.empty_like(rhs)
-            self.solve(rhs[None].copy(), out=x[None])
-            return x
         if out is None:
             out = np.empty_like(rhs)
         p = out.shape[0] - rhs.shape[0]

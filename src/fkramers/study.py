@@ -298,22 +298,23 @@ def regularity_diagnostic(problem, n=16, k=1, tau=0.01, theta=1.0):
 
     Computes D_m = ||g^m - g^{m-1}|| / tau and fits log D against log t_m
     over the window m in [2, steps/2] (the first step is excluded; the window
-    stays clear of the final-time regime).  A slope near -1 reflects the
+    stays clear of the final-time regime), so a run needs at least 6 steps
+    for the window to hold two points.  A slope near -1 reflects the
     characteristic initial-layer behavior for nonsmooth data.  If the
     quotients vanish (steady solutions) the fit is flagged degenerate.
     """
     traj = run(problem, n, k, tau, theta)
     levels = traj.levels
     steps = levels.shape[0] - 1
-    if steps < 4:
-        raise PreconditionError("too few steps for a regularity fit")
+    if steps < 6:
+        raise PreconditionError("too few steps for a regularity fit: %d, need at least 6" % steps)
     # axis=0 sums each pair's squares exactly as a row-wise norm would
     quots = np.array([np.linalg.norm(b - a, axis=0) for a, b in zip(levels, levels[1:])]) / traj.tau
     times = traj.times[1:]
     lo, hi = 2, steps // 2  # 1-based step indices of the fit window
     window_q = quots[lo - 1:hi]
     window_t = times[lo - 1:hi]
-    if window_q.size < 2 or np.any(window_q <= 1e-14 * max(1.0, quots.max())):
+    if np.any(window_q <= 1e-14 * max(1.0, quots.max())):
         return RegularityFit(slope=float("nan"), degenerate=True, times=times, quotients=quots)
     slope = float(np.polyfit(np.log(window_t), np.log(window_q), 1)[0])
     return RegularityFit(slope=slope, degenerate=False, times=times, quotients=quots)

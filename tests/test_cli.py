@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkramers import ConfigError, SolverFailure
+from fkramers import ConfigError, SolverFailure, get_problem, regularity_diagnostic
 from fkramers.cli import RunConfig, _build_parser, main, parse
+from fkramers.problems import PROBLEM_IDS
 from fkramers.study import DEFAULT_INV_TAUS, DEFAULT_RESOLUTIONS
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
@@ -65,6 +66,14 @@ class TestParse:
         assert parse(["regularity"]).problem == "ex1b"
         assert parse(["regularity", "--problem", "ex1c"]).problem == "ex1c"
 
+    @pytest.mark.parametrize("command", ["regularity", "study-space"])
+    def test_explicit_problem_kept_where_default_differs(self, command, tmp_path):
+        # ex1a, the default of the other commands, is a setting like any other
+        assert parse([command, "--problem", "ex1a"]).problem == "ex1a"
+        path = tmp_path / "run.cfg"
+        path.write_text("problem = ex1a\n")
+        assert parse([command, "--config", str(path)]).problem == "ex1a"
+
     def test_study_time_keeps_problem(self):
         config = parse(["study-time", "--problem", "ex1b"])
         assert config.problem == "ex1b"
@@ -96,6 +105,8 @@ class TestParse:
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             parse(["solve", "--k", "0"])
+        with pytest.raises(ConfigError, match=r"degree k must be in \[1, 30\], got 31"):
+            parse(["solve", "--k", "31"])
         with pytest.raises(ConfigError):
             parse(["solve", "--tau", "-0.1"])
         with pytest.raises(ConfigError):
@@ -402,6 +413,40 @@ class TestMain:
         assert captured.out.startswith("n,t,difference_quotient\n")
         assert "fitted decay slope:" in captured.err
 
+    def test_regularity_runs_explicit_problem(self, capsys):
+        assert main(["regularity", "--problem", "ex1a", "--N", "2", "--tau", "0.125"]) == 0
+        fit = regularity_diagnostic(get_problem("ex1a", 0.5), n=2, k=1, tau=0.125)
+        assert capsys.readouterr().err == "fitted decay slope: %.4f\n" % fit.slope
+
+    def test_regularity_too_few_steps_exit_four(self, capsys):
+        # 4 steps leave one point in the fit window [2, steps // 2]
+        assert main(["regularity", "--N", "2", "--tau", "0.25"]) == 4
+        err = capsys.readouterr().err
+        assert "precondition violated: too few steps for a regularity fit: 4" in err
+
+    def test_study_space_without_exact_solution_exit_four(self, capsys, monkeypatch):
+        monkeypatch.setattr("fkramers.study.run", lambda *args: pytest.fail("a run started"))
+        assert main(["study-space", "--problem", "ex1a", "--tau", "0.5", "--N-list", "1,2"]) == 4
+        assert "exact solution" in capsys.readouterr().err
+
+    def test_highest_degree_runs(self, capsys):
+        assert main(["solve", "--k", "30", "--N", "1", "--tau", "0.5"]) == 0
+        assert capsys.readouterr().out.startswith("i,j,mode_a,mode_b")
+
+    def test_degree_above_quadrature_limit_exit_two(self, capsys):
+        assert main(["solve", "--k", "31", "--N", "1", "--tau", "0.5"]) == 2
+        assert "configuration error: element degree k must be in [1, 30], got 31" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "empty path"])
+    def test_unwritable_output_exit_two(self, capsys, tmp_path, where):
+        out = {"missing directory": str(tmp_path / "missing" / "x.csv"),
+               "directory": str(tmp_path), "empty path": ""}[where]
+        assert main(["solve", "--N", "2", "--tau", "0.5", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write --out %r: " % out), err
+        assert "Traceback" not in err
+
     def test_output_file_instead_of_stdout(self, capsys, tmp_path):
         path = tmp_path / "w.csv"
         assert main(["cq-weights", "--steps", "2", "--out", str(path)]) == 0
@@ -416,15 +461,17 @@ class TestMain:
 EDGE_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e300", "1e308")
 EDGE_INTS = ("0", "-1", "1000000000000")
 EDGE_LISTS = ("", "0,2", "-2,4", "4,2", "2,2", "4,2,4", "2,nan", "1e300")
+#: 31 is the lowest degree whose assembly needs more Gauss points than exist
+EDGE_DEGREES = EDGE_INTS + ("31",)
 
 #: per command, each flag fuzzed with its valid values and its edge values;
 #: the valid values keep a run to a few steps on a mesh of at most 4 x 4
 FUZZ_FLAGS = {
-    "solve": {"--N": (("1", "2", "4"), EDGE_INTS), "--k": (("1", "2"), EDGE_INTS),
+    "solve": {"--N": (("1", "2", "4"), EDGE_INTS), "--k": (("1", "2"), EDGE_DEGREES),
               "--tau": (("0.25", "0.5"), EDGE_FLOATS), "--T": (("0.25", "1"), EDGE_FLOATS)},
     "study-time": {"--N": (("2", "4"), EDGE_INTS), "--tau-list": (("2,4", "8,4"), EDGE_LISTS),
                    "--T": (("0.5", "1"), EDGE_FLOATS)},
-    "study-space": {"--k": (("1", "2"), EDGE_INTS), "--tau": (("0.25", "0.5"), EDGE_FLOATS),
+    "study-space": {"--k": (("1", "2"), EDGE_DEGREES), "--tau": (("0.25", "0.5"), EDGE_FLOATS),
                     "--N-list": (("1,2", "4,2"), EDGE_LISTS), "--T": (("0.5", "1"), EDGE_FLOATS)},
     "stability": {"--N": (("1", "2"), EDGE_INTS), "--tau": (("0.25", "0.5"), EDGE_FLOATS),
                   "--trials": (("1", "2"), EDGE_INTS), "--seed": (("3",), EDGE_INTS),
@@ -434,6 +481,8 @@ FUZZ_FLAGS = {
     "cq-weights": {"--steps": (("0", "3"), EDGE_INTS), "--tau": (("1", "0.5"), EDGE_FLOATS)},
 }
 SHARED_FLAGS = {"--alpha": (("0.5", "1"), EDGE_FLOATS), "--theta": (("1", "2.5"), EDGE_FLOATS)}
+#: commands that run a built-in problem; each is drawn from all of them
+PROBLEM_COMMANDS = {"solve", "study-time", "study-space", "regularity"}
 
 
 @st.composite
@@ -445,6 +494,8 @@ def fuzzed_argv(draw):
     argv = [command]
     for flag, (valid, edges) in flags.items():
         argv.append("%s=%s" % (flag, draw(st.sampled_from(edges if flag in edged else valid))))
+    if command in PROBLEM_COMMANDS:
+        argv.append("--problem=%s" % draw(st.sampled_from(PROBLEM_IDS)))
     return argv
 
 

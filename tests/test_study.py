@@ -303,6 +303,11 @@ class TestRegularity:
         with pytest.raises(PreconditionError):
             regularity_diagnostic(get_problem("ex1b", 0.5), n=2, k=1, tau=0.5)
 
+    def test_five_steps_rejected_with_their_count(self):
+        # the fit window [2, steps // 2] of 5 steps holds one point
+        with pytest.raises(PreconditionError, match="too few steps for a regularity fit: 5"):
+            regularity_diagnostic(get_problem("ex1b", 0.5), n=2, k=1, tau=0.2)
+
     def test_quotients_match_field_differences(self):
         # the quotients come from the rows of the levels array; they must be
         # bitwise those of the differences of the trajectory's fields
