@@ -1,18 +1,23 @@
 """Command-line interface: solves, convergence studies, probes, weight dumps.
 
-Configuration can come from `key = value` files (hash comments allowed) with
-command-line flags taking precedence.  All numeric output uses scientific
-notation with four significant digits so files are byte-reproducible for a
-fixed configuration and seed.
+Settings come from flags or `key = value` files (hash comments allowed), flags
+taking precedence.  A command accepts only the settings it reads
+(`COMMAND_SETTINGS`); any other flag or key is a configuration error (exit 2),
+as is an `--out` that cannot be written, found before the run.  All numeric
+output uses scientific notation with four significant digits so files are
+byte-reproducible for a fixed configuration and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .cq import cq_weights
@@ -30,8 +35,6 @@ from .study import (
     stability_probe,
     temporal_study,
 )
-
-COMMANDS = ("solve", "study-time", "study-space", "stability", "regularity", "cq-weights")
 
 #: Default fractional orders swept by the studies, keyed by problem (temporal)
 #: and by element degree (spatial).
@@ -66,32 +69,49 @@ class RunConfig:
     inv_taus: tuple = DEFAULT_INV_TAUS
 
 
-_INT_FIELDS = {"n", "k", "steps", "trials", "seed"}
-_FLOAT_FIELDS = {"alpha", "tau", "t_final", "theta"}
-_TUPLE_FIELDS = {"n_list", "inv_taus"}
+def resolution_list(raw):
+    """A comma-separated list of integers, as `--N-list` and `--tau-list` take."""
+    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
 
 
-def _coerce(name, raw):
-    try:
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
-        if name in _TUPLE_FIELDS:
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError("malformed value %r for key %r" % (raw, name)) from exc
-    return raw
+Setting = namedtuple("Setting", "flag type choices help", defaults=(str, None, None))
+#: Every setting, keyed by its `RunConfig` field, which is also its config key.
+SETTINGS = {
+    "problem": Setting("--problem", choices=PROBLEM_IDS),
+    "alpha": Setting("--alpha", float),
+    "n": Setting("--N", int),
+    "k": Setting("--k", int),
+    "tau": Setting("--tau", float),
+    "t_final": Setting("--T", float),
+    "theta": Setting("--theta", float),
+    "steps": Setting("--steps", int, help="weight count"),
+    "trials": Setting("--trials", int),
+    "seed": Setting("--seed", int),
+    "out": Setting("--out", help="output path (default: stdout)"),
+    "fmt": Setting("--format", choices=("csv", "markdown")),
+    "n_list": Setting("--N-list", resolution_list, help="comma-separated mesh resolutions"),
+    "inv_taus": Setting("--tau-list", resolution_list,
+                        help="comma-separated reciprocal steps, e.g. 10,20,40"),
+}
+
+#: The settings each command reads; a flag or config key outside them is an error.
+COMMAND_SETTINGS = {
+    "solve": ("problem", "alpha", "n", "k", "tau", "t_final", "theta", "out"),
+    "study-time": ("problem", "alpha", "n", "k", "t_final", "theta", "out", "fmt", "inv_taus"),
+    "study-space": ("problem", "alpha", "k", "tau", "t_final", "theta", "out", "fmt", "n_list"),
+    "stability": ("alpha", "n", "k", "tau", "t_final", "theta", "trials", "seed", "out"),
+    "regularity": ("problem", "alpha", "n", "k", "tau", "t_final", "theta", "out"),
+    "cq-weights": ("alpha", "tau", "steps", "out"),
+}
 
 
-def _read_config_file(path):
+def _read_config_file(path, command):
     values = {}
     try:
         with open(path) as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError("cannot read config file %r: %s" % (path, exc)) from exc
-    known = {f.name for f in fields(RunConfig)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -99,9 +119,13 @@ def _read_config_file(path):
         if "=" not in body:
             raise ConfigError("line %d of %r is not 'key = value': %r" % (lineno, path, line))
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in known:
-            raise ConfigError("unknown config key %r (line %d of %r)" % (key, lineno, path))
-        values[key] = _coerce(key, raw)
+        if key != "command" and key not in COMMAND_SETTINGS[command]:
+            raise ConfigError("%s does not read config key %r (line %d of %r)"
+                              % (command, key, lineno, path))
+        try:
+            values[key] = SETTINGS[key].type(raw) if key in SETTINGS else raw
+        except ValueError as exc:
+            raise ConfigError("malformed value %r for key %r" % (raw, key)) from exc
     return values
 
 
@@ -113,31 +137,17 @@ def _build_parser():
         description="Fractional kinetic equation solver and convergence harness.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key = value file; flags override")
-        p.add_argument("--problem", default=None, choices=PROBLEM_IDS)
-        p.add_argument("--alpha", default=None, type=float)
-        p.add_argument("--N", dest="n", default=None, type=int)
-        p.add_argument("--k", default=None, type=int)
-        p.add_argument("--tau", default=None, type=float)
-        p.add_argument("--T", dest="t_final", default=None, type=float)
-        p.add_argument("--theta", default=None, type=float)
-        p.add_argument("--steps", default=None, type=int, help="weight count for cq-weights")
-        p.add_argument("--trials", default=None, type=int)
-        p.add_argument("--seed", default=None, type=int)
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", dest="fmt", default=None, choices=("csv", "markdown"))
-        p.add_argument("--N-list", dest="n_list", default=None,
-                       help="comma-separated mesh resolutions for study-space")
-        p.add_argument("--tau-list", dest="inv_taus", default=None,
-                       help="comma-separated reciprocal steps for study-time, e.g. 10,20,40")
+    for command, names in COMMAND_SETTINGS.items():
+        # no abbreviations: `study-space --N 4` must not mean `--N-list 4`
+        p = sub.add_parser(command, allow_abbrev=False)
+        p.add_argument("--config", help="key = value file; flags override")
+        for name in names:
+            flag, kind, choices, text = SETTINGS[name]
+            p.add_argument(flag, dest=name, type=kind, choices=choices, help=text)
     return parser
 
 
 def _validate(config):
-    if config.command not in COMMANDS:
-        raise ConfigError("unknown command %r" % (config.command,))
     if config.alpha is not None and not 0.0 < config.alpha <= 1.0:
         raise OrderOutOfRange("alpha must lie in (0, 1], got %r" % (config.alpha,))
     if config.n is not None and config.n < 1:
@@ -160,7 +170,7 @@ def _validate(config):
         raise ConfigError("seed must be nonnegative, got %r" % (config.seed,))
     if config.fmt not in ("csv", "markdown"):
         raise ConfigError("format must be csv or markdown, got %r" % (config.fmt,))
-    if config.problem not in PROBLEM_IDS:
+    if config.problem is not None and config.problem not in PROBLEM_IDS:
         raise ConfigError("unknown problem %r" % (config.problem,))
     if any(r < 1 for r in config.n_list) or any(r < 1 for r in config.inv_taus):
         raise ConfigError("resolution lists must contain positive integers")
@@ -169,6 +179,11 @@ def _validate(config):
             raise ConfigError("--%s holds no resolution" % (flag,))
         if len(set(values)) < len(values):
             raise ConfigError("--%s repeats a resolution: %s" % (flag, ",".join(map(str, values))))
+    if config.out is not None:
+        missing = not config.out or not os.path.isdir(os.path.dirname(config.out) or os.curdir)
+        if missing or os.path.isdir(config.out):
+            reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
+            raise ConfigError("cannot write --out %r: %s" % (config.out, reason))
 
 
 def parse(argv):
@@ -177,32 +192,20 @@ def parse(argv):
     ns = parser.parse_args(argv)
     if ns.command is None:
         parser.print_usage(sys.stderr)
-        raise ConfigError("a command is required: %s" % ", ".join(COMMANDS))
-    values = {}
-    if ns.config is not None:
-        values.update(_read_config_file(ns.config))
-        if "command" in values and values["command"] != ns.command:
-            raise ConfigError(
-                "conflicting command: config file says %r, command line says %r"
-                % (values["command"], ns.command)
-            )
-    values["command"] = ns.command
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        flag_value = getattr(ns, f.name, None)
-        if flag_value is not None:
-            if f.name in _TUPLE_FIELDS and isinstance(flag_value, str):
-                flag_value = _coerce(f.name, flag_value)
-            values[f.name] = flag_value
-    config = RunConfig(**values)
-    config = _apply_command_defaults(config)
+        raise ConfigError("a command is required: %s" % ", ".join(COMMAND_SETTINGS))
+    values = {} if ns.config is None else _read_config_file(ns.config, ns.command)
+    if values.setdefault("command", ns.command) != ns.command:
+        raise ConfigError("conflicting command: config file says %r, command line says %r"
+                          % (values["command"], ns.command))
+    values.update((name, getattr(ns, name)) for name in COMMAND_SETTINGS[ns.command]
+                  if getattr(ns, name) is not None)
+    config = _apply_command_defaults(RunConfig(**values))
     _validate(config)
     return config
 
 
 def _apply_command_defaults(config):
-    """Fill the problem, N and tau that neither the flags nor a config file set."""
+    """Fill the problem, N and tau that the command reads and nobody set."""
     command = config.command
     defaults = {
         # ex2 is the only problem with an exact solution; ex1b has rough data
@@ -211,8 +214,8 @@ def _apply_command_defaults(config):
         "tau": {"study-space": 0.005 if config.k >= 2 else 0.01, "stability": 0.02,
                 "cq-weights": 1.0}.get(command, 0.01),
     }
-    return replace(config, **{name: value for name, value in defaults.items()
-                              if getattr(config, name) is None})
+    return replace(config, **{name: defaults[name] for name in COMMAND_SETTINGS[command]
+                              if name in defaults and getattr(config, name) is None})
 
 
 def _alphas(config):
@@ -334,9 +337,6 @@ def _dispatch(config):
             sys.stderr.write("regularity fit degenerate: difference quotients vanish\n")
         else:
             sys.stderr.write("fitted decay slope: %.4f\n" % fit.slope)
-        return
-
-    raise ConfigError("unknown command %r" % (config.command,))
 
 
 def main(argv=None):

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkramers import ConfigError, SolverFailure, get_problem, regularity_diagnostic
-from fkramers.cli import RunConfig, _build_parser, main, parse
+from fkramers.cli import COMMAND_SETTINGS, SETTINGS, RunConfig, _build_parser, _emit, main, parse
 from fkramers.problems import PROBLEM_IDS
 from fkramers.study import DEFAULT_INV_TAUS, DEFAULT_RESOLUTIONS
 
@@ -117,6 +118,68 @@ class TestParse:
             parse(["stability", "--seed", "-1"])
 
 
+#: a valid value of every setting, as a flag or a config file gives it
+SAMPLE_VALUES = {"problem": "ex1a", "alpha": "0.5", "n": "4", "k": "1", "tau": "0.5",
+                 "t_final": "1", "theta": "1", "steps": "3", "trials": "2", "seed": "1",
+                 "out": "x.csv", "fmt": "csv", "n_list": "2,4", "inv_taus": "2,4"}
+#: every (command, setting it does not read) pair
+UNREAD = [(command, name) for command, names in COMMAND_SETTINGS.items()
+          for name in SETTINGS if name not in names]
+
+
+class TestCommandSettings:
+    def test_tables_agree(self):
+        assert sorted(SETTINGS) == sorted(f.name for f in fields(RunConfig) if f.name != "command")
+        assert {name for names in COMMAND_SETTINGS.values() for name in names} == set(SETTINGS)
+        assert sorted(SAMPLE_VALUES) == sorted(SETTINGS)
+
+    @pytest.mark.parametrize("command", list(COMMAND_SETTINGS))
+    def test_help_lists_exactly_the_read_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out))
+        flags = {SETTINGS[name].flag for name in COMMAND_SETTINGS[command]}
+        assert listed == {"--help", "--config"} | flags
+
+    @pytest.mark.parametrize("command, name", UNREAD)
+    def test_unread_flag_exit_two(self, command, name, capsys, monkeypatch):
+        monkeypatch.setattr("fkramers.cli._dispatch", lambda config: pytest.fail("ran"))
+        assert main([command, SETTINGS[name].flag, SAMPLE_VALUES[name]]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: %s %s" % (SETTINGS[name].flag, SAMPLE_VALUES[name]) in err
+
+    @pytest.mark.parametrize("command, name", UNREAD)
+    def test_unread_config_key_exit_two(self, command, name, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("fkramers.cli._dispatch", lambda config: pytest.fail("ran"))
+        path = tmp_path / "c.cfg"
+        path.write_text("# a setting %s does not read\n%s = %s\n"
+                        % (command, name, SAMPLE_VALUES[name]))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: %s does not read config key %r (line 2 of %r)" % (
+            command, name, str(path)) in err, err
+
+    def test_read_flags_and_keys_accepted(self, tmp_path):
+        for command, names in COMMAND_SETTINGS.items():
+            argv = [command]
+            for name in names:
+                argv += [SETTINGS[name].flag, SAMPLE_VALUES[name]]
+            path = tmp_path / (command + ".cfg")
+            path.write_text("".join("%s = %s\n" % (name, SAMPLE_VALUES[name]) for name in names))
+            assert parse(argv) == parse([command, "--config", str(path)])
+
+    def test_unread_settings_stay_unset(self):
+        assert parse(["stability"]).problem is None
+        config = parse(["cq-weights"])
+        assert config.problem is None and config.n is None
+        assert parse(["study-time"]).tau is None
+        assert parse(["study-space"]).n is None
+
+    def test_no_ex2_note_without_a_problem(self, capsys):
+        argv = ["stability", "--problem", "ex2", "--N", "1", "--tau", "0.5", "--trials", "1"]
+        assert main(argv) == 2
+        assert "note: ex2" not in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_render_parse_round_trip(self):
         config = parse([
@@ -128,10 +191,10 @@ class TestConfigFile:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "case.cfg")
             with open(path, "w") as handle:
+                # keys study-time reads, and no other
                 handle.write(
                     "command = study-time\nproblem = ex1b\nalpha = 0.4\nn = 8\nk = 1\n"
-                    "tau = 0.01\nt_final = 1.0\ntheta = 1.0\nsteps = 10\ntrials = 10\n"
-                    "seed = 0\nfmt = markdown\nn_list = 4,8,12,16,20\ninv_taus = 10,20,40\n"
+                    "t_final = 1.0\ntheta = 1.0\nfmt = markdown\ninv_taus = 10,20,40\n"
                 )
             again = parse([config.command, "--config", path])
         assert again == config
@@ -447,6 +510,19 @@ class TestMain:
         assert err.startswith("configuration error: cannot write --out %r: " % out), err
         assert "Traceback" not in err
 
+    def test_unwritable_output_found_before_the_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("fkramers.study.run", lambda *args: pytest.fail("a run started"))
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main(["study-space", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: cannot write --out %r: " % out)
+
+    def test_emit_reports_unwritable_output(self, tmp_path):
+        # the backstop for a path that passes the check but cannot be opened
+        out = str(tmp_path / "missing" / "x.csv")
+        with pytest.raises(ConfigError, match="cannot write --out"):
+            _emit(RunConfig(command="solve", out=out), "text\n")
+
     def test_output_file_instead_of_stdout(self, capsys, tmp_path):
         path = tmp_path / "w.csv"
         assert main(["cq-weights", "--steps", "2", "--out", str(path)]) == 0
@@ -480,33 +556,44 @@ FUZZ_FLAGS = {
                    "--T": (("0.5", "1"), EDGE_FLOATS)},
     "cq-weights": {"--steps": (("0", "3"), EDGE_INTS), "--tau": (("1", "0.5"), EDGE_FLOATS)},
 }
+#: flags of several commands, each drawn only for the commands that read it
 SHARED_FLAGS = {"--alpha": (("0.5", "1"), EDGE_FLOATS), "--theta": (("1", "2.5"), EDGE_FLOATS)}
-#: commands that run a built-in problem; each is drawn from all of them
-PROBLEM_COMMANDS = {"solve", "study-time", "study-space", "regularity"}
 
 
 @st.composite
 def fuzzed_argv(draw):
-    """A command whose flags are small valid values, except one or two edge values."""
+    """A command whose flags are small valid values, except one or two edge values.
+
+    One draw in four adds a flag the command does not read; the second item
+    of the result says whether it did.
+    """
     command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
-    flags = {**FUZZ_FLAGS[command], **SHARED_FLAGS}
+    reads = {SETTINGS[name].flag for name in COMMAND_SETTINGS[command]}
+    flags = {flag: values for flag, values in {**FUZZ_FLAGS[command], **SHARED_FLAGS}.items()
+             if flag in reads}
     edged = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
     argv = [command]
     for flag, (valid, edges) in flags.items():
         argv.append("%s=%s" % (flag, draw(st.sampled_from(edges if flag in edged else valid))))
-    if command in PROBLEM_COMMANDS:
+    if "problem" in COMMAND_SETTINGS[command]:
         argv.append("--problem=%s" % draw(st.sampled_from(PROBLEM_IDS)))
-    return argv
+    unread = draw(st.integers(0, 3)) == 0
+    if unread:
+        name = draw(st.sampled_from([name for c, name in UNREAD if c == command]))
+        argv.insert(draw(st.integers(1, len(argv))),
+                    "%s=%s" % (SETTINGS[name].flag, SAMPLE_VALUES[name]))
+    return argv, unread
 
 
 class TestFuzz:
     @settings(max_examples=200, deadline=None)
     @given(fuzzed_argv())
-    def test_edge_values_exit_with_documented_code(self, argv):
+    def test_edge_values_exit_with_documented_code(self, drawn):
+        argv, unread = drawn
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code in (0, 2, 3, 4), (code, err.getvalue())
+        assert code in ((2,) if unread else (0, 2, 3, 4)), (code, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if code == 0:
             text = out.getvalue().lower()
