@@ -122,10 +122,14 @@ def _read_config_file(path, command):
         if key != "command" and key not in COMMAND_SETTINGS[command]:
             raise ConfigError("%s does not read config key %r (line %d of %r)"
                               % (command, key, lineno, path))
+        setting = SETTINGS.get(key, Setting(None))
         try:
-            values[key] = SETTINGS[key].type(raw) if key in SETTINGS else raw
+            values[key] = setting.type(raw)
         except ValueError as exc:
             raise ConfigError("malformed value %r for key %r" % (raw, key)) from exc
+        if setting.choices is not None and values[key] not in setting.choices:
+            raise ConfigError("config key %r must be one of %s, got %r"
+                              % (key, ", ".join(setting.choices), raw))
     return values
 
 
@@ -168,10 +172,6 @@ def _validate(config):
         raise ConfigError("trials must be positive, got %r" % (config.trials,))
     if config.seed < 0:
         raise ConfigError("seed must be nonnegative, got %r" % (config.seed,))
-    if config.fmt not in ("csv", "markdown"):
-        raise ConfigError("format must be csv or markdown, got %r" % (config.fmt,))
-    if config.problem is not None and config.problem not in PROBLEM_IDS:
-        raise ConfigError("unknown problem %r" % (config.problem,))
     if any(r < 1 for r in config.n_list) or any(r < 1 for r in config.inv_taus):
         raise ConfigError("resolution lists must contain positive integers")
     for flag, values in (("N-list", config.n_list), ("tau-list", config.inv_taus)):

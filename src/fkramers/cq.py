@@ -101,7 +101,7 @@ def soe_rule(alpha, steps, window):
     xi, wi = np.polynomial.legendre.leggauss(SOE_PANEL_POINTS)
     top = SOE_CUTOFF / (window - alpha)
     lo = edge
-    while lo < top:
+    for _ in range((soe_node_count(alpha, steps, window) - SOE_JACOBI_POINTS) // SOE_PANEL_POINTS):
         hi = min(2.0 * lo, top)
         x = lo + 0.5 * (hi - lo) * (xi + 1.0)
         nodes.append(x)
@@ -110,6 +110,17 @@ def soe_rule(alpha, steps, window):
     # sin(pi alpha) from the exact one of alpha, 1 - alpha that is at most 1/2
     scale = -math.sin(math.pi * min(alpha, 1.0 - alpha)) / math.pi
     return np.concatenate(nodes), scale * np.concatenate(coeffs)
+
+
+def soe_node_count(alpha, steps, window):
+    """The node count of `soe_rule`, never smaller at a larger alpha.
+
+    Its panels number the least P >= 0 with 2^P / steps >= SOE_CUTOFF / (window
+    - alpha), read exactly from the binary exponents of the two floats.
+    """
+    top, top_exp = math.frexp(SOE_CUTOFF / (window - alpha))
+    edge, edge_exp = math.frexp(1.0 / steps)
+    return SOE_JACOBI_POINTS + SOE_PANEL_POINTS * max(0, top_exp - edge_exp + (top > edge))
 
 
 def _gauss_jacobi(q, a):

@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cq import MAX_STEPS, SOE_CUTOFF, SOE_JACOBI_POINTS, SOE_PANEL_POINTS, cq_weights, soe_rule
+from .cq import MAX_STEPS, cq_weights, soe_node_count, soe_rule
 from .errors import PreconditionError, SolverFailure, _positive_finite, require_memory
 from .mesh import Basis, Mesh2D, build_mesh, gauss_rule, modal_project
 from .problems import load_vector, require_mesh_aligned
@@ -470,41 +470,42 @@ def _group_rows(ndof):
     return max(1, min(HISTORY_BLOCK, BUFFER_BYTES // (8 * ndof)))
 
 
-def _require_run_memory(n, basis, steps, terms=0):
-    """Raise PreconditionError if a run's arrays cannot fit in physical memory,
-    or if it has more than MAX_STEPS steps.
+def _run_arrays(n, basis, steps, terms=0):
+    """The arrays of a run on an n x n mesh by name, each with its size in doubles.
 
-    Counts, in doubles, what grows with the inputs: the sampled initial data
-    or source factor, and every stored level; with steps, also the CQ
-    weights and partial sums, the five dense 1D operators with the v-block,
-    what set-up holds at once: the x-cell block A, its inverse and lift, the
-    ceil(log2 n) powers of the trace scan, the block of near-field weights
-    and a group's right-hand sides; the projections of the `terms` source
-    factors, one level each, and their amplitudes, steps + 1 each; past the
-    history window, the far-field accumulators, one level per node of
-    `soe_rule`.  Call it before allocating any of them.
+    The sampled data is the initial data, or a source factor, at the points
+    of its projection; the operators are the five 1D ones and the v-block.
+    The accumulators, one level per node of `soe_rule`, are counted as at
+    alpha = 1, where the rule has the most nodes.
+    """
+    m, ndof = basis.nmodes, (n * basis.nmodes) ** 2
+    arrays = {"sampled data": (n * (m + 1)) ** 2, "levels": (steps + 1) * ndof}
+    if steps:
+        arrays.update({
+            "weights": 2 * (steps + 1),  # with their partial sums
+            "operators": 6 * ndof, "cell block": 2 * m ** 2 * ndof, "lift": m * ndof,
+            "powers": (n - 1).bit_length() * ndof,
+            "source factors": terms * ndof, "amplitudes": terms * (steps + 1),
+            "near weights": HISTORY_BLOCK * HISTORY_WINDOW,
+            "group buffer": _group_rows(ndof) * ndof,
+        })
+    if steps > HISTORY_WINDOW + HISTORY_BLOCK:
+        arrays["accumulators"] = soe_node_count(1.0, steps, HISTORY_WINDOW) * ndof
+    return arrays
+
+
+def _require_run_memory(n, basis, steps, terms=0):
+    """Raise PreconditionError if the arrays of :func:`_run_arrays` cannot fit in
+    physical memory, or if the run has more than MAX_STEPS steps.  Call it
+    before allocating any of them.
     """
     if not isinstance(n, Integral) or n < 1:
         return  # build_mesh names the bad resolution
-    m = basis.nmodes
-    block = int(n) * m
-    doubles = (int(n) * (m + 1)) ** 2 + (steps + 1) * block ** 2
-    if steps:
-        doubles += 2 * (steps + 1) + 6 * block ** 2 + 2 * (block * m) ** 2 + m * block ** 2
-        doubles += (int(n) - 1).bit_length() * block ** 2 + terms * (block ** 2 + steps + 1)
-        doubles += HISTORY_BLOCK * HISTORY_WINDOW + _group_rows(block ** 2) * block ** 2
-    if steps > HISTORY_WINDOW + HISTORY_BLOCK:
-        # log2 of the int steps, which may exceed the float range
-        panels = math.ceil(math.log2(steps) + math.log2(SOE_CUTOFF / (HISTORY_WINDOW - 1)))
-        doubles += (SOE_JACOBI_POINTS + SOE_PANEL_POINTS * panels) * block ** 2
-    require_memory(
-        doubles,
-        "a run of %.4g steps at N = %d, k = %d" % (steps, n, basis.degree),
-    )
+    require_memory(sum(_run_arrays(int(n), basis, steps, terms).values()),
+                   "a run of %.4g steps at N = %d, k = %d" % (steps, n, basis.degree))
     if steps > MAX_STEPS:
-        raise PreconditionError(
-            "a run of %d steps is more than the limit of %d" % (steps, MAX_STEPS)
-        )
+        raise PreconditionError("a run of %d steps is more than the limit of %d"
+                                % (steps, MAX_STEPS))
 
 
 def march(system, weights, g0_vec, source, steps):
@@ -535,10 +536,9 @@ def march(system, weights, g0_vec, source, steps):
     with the factors); the solve, handed the block's rows up to the group's
     end, adds the lags from all earlier rows of the block step by step and
     writes the solutions into the group's rows.  At alpha = 1 the weights
-    vanish beyond lag 1, so no accumulator is kept.
-    Storage is the returned array, the accumulators (one row of ndof per
-    node), the group buffer, temporaries of at most BUFFER_BYTES each in the
-    far field and a few of one group's size in its solve.
+    vanish beyond lag 1, so no accumulator is kept.  The arrays kept are
+    those of :func:`_run_arrays`, plus temporaries of at most BUFFER_BYTES
+    in the far field and of a group's size in its solve.
     """
     d = weights.d
     s = weights.partial_sums
@@ -572,7 +572,8 @@ def march(system, weights, g0_vec, source, steps):
 
 
 class _FarField:
-    """Sum-of-exponentials accumulators for the lags beyond HISTORY_WINDOW."""
+    """Sum-of-exponentials accumulators for the lags beyond HISTORY_WINDOW,
+    the "accumulators" of :func:`_run_arrays`."""
 
     def __init__(self, weights, steps, ndof):
         x, c = soe_rule(weights.alpha, steps, HISTORY_WINDOW)

@@ -82,34 +82,15 @@ def example1(case, alpha, t_final=1.0):
               with the time profile t**0.8.
     """
     alpha = _check_alpha(alpha)
-    if case == "a":
-        return ProblemSpec(
-            name="ex1a",
-            alpha=alpha,
-            t_final=float(t_final),
-            g0=lambda x, v: x * np.sin(np.pi * v),
-            exact=None,
-        )
-    if case == "b":
-        return ProblemSpec(
-            name="ex1b",
-            alpha=alpha,
-            t_final=float(t_final),
-            g0=_indicator,
-            exact=None,
-            discontinuities=(0.5,),
-        )
-    if case == "c":
-        return ProblemSpec(
-            name="ex1c",
-            alpha=alpha,
-            t_final=float(t_final),
-            g0=lambda x, v: 0.0 * (np.asarray(x, float) + np.asarray(v, float)),
-            exact=None,
-            source_terms=((lambda t: t ** 0.8, _indicator),),
-            discontinuities=(0.5,),
-        )
-    raise PreconditionError("unknown case %r; expected 'a', 'b' or 'c'" % (case,))
+    if case not in ("a", "b", "c"):
+        raise PreconditionError("unknown case %r; expected 'a', 'b' or 'c'" % (case,))
+    data = {
+        "a": dict(g0=lambda x, v: x * np.sin(np.pi * v)),
+        "b": dict(g0=_indicator, discontinuities=(0.5,)),
+        "c": dict(g0=lambda x, v: 0.0 * (np.asarray(x, float) + np.asarray(v, float)),
+                  source_terms=((lambda t: t ** 0.8, _indicator),), discontinuities=(0.5,)),
+    }[case]
+    return ProblemSpec(name="ex1" + case, alpha=alpha, t_final=float(t_final), exact=None, **data)
 
 
 def example2(alpha, t_final=1.0):

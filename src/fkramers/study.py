@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -190,9 +191,10 @@ def temporal_study(problem, n=16, k=1, inv_taus=DEFAULT_INV_TAUS, theta=1.0):
     distance between the run with step tau and the run with step tau/2;
     halved runs are shared between neighboring resolutions.
     """
-    inv_taus = tuple(int(r) for r in inv_taus)
-    if not inv_taus or any(r < 1 for r in inv_taus):
-        raise PreconditionError("temporal study needs positive resolutions, got %r" % (inv_taus,))
+    inv_taus = tuple(inv_taus)
+    if not inv_taus or not all(isinstance(r, Integral) and r >= 1 for r in inv_taus):
+        raise PreconditionError("temporal study needs positive integer resolutions, got %r"
+                                % (inv_taus,))
     needed = sorted(set(inv_taus) | {2 * r for r in inv_taus})
     finals = {}
     for inv in needed:
@@ -223,9 +225,10 @@ def spatial_study(problem, k, tau, resolutions=DEFAULT_RESOLUTIONS, theta=1.0):
     """
     if problem.exact is None:
         raise PreconditionError("spatial study needs a problem with an exact solution")
-    resolutions = tuple(int(r) for r in resolutions)
-    if not resolutions:
-        raise PreconditionError("spatial study needs at least one resolution, got ()")
+    resolutions = tuple(resolutions)
+    if not resolutions or not all(isinstance(r, Integral) and r >= 1 for r in resolutions):
+        raise PreconditionError("spatial study needs at least one resolution, a positive integer"
+                                " for each resolution, got %r" % (resolutions,))
     errors = []
     for n in resolutions:
         # no name keeps a run's levels alive while the next run allocates
@@ -268,8 +271,12 @@ def stability_probe(alpha, n=8, k=1, tau=0.02, trials=10, theta=1.0, seed=0, t_f
             "the stability probe needs at least one step, got final time %r with step %r"
             % (t_final, tau)
         )
-    if trials < 1:
-        raise PreconditionError("the stability probe needs at least one trial, got %r" % (trials,))
+    if not isinstance(trials, Integral) or trials < 1:
+        raise PreconditionError("the stability probe needs an integer count of at least one trial,"
+                                " got %r" % (trials,))
+    if not isinstance(seed, Integral) or seed < 0:
+        raise PreconditionError("the stability probe's seed must be a nonnegative integer, got %r"
+                                % (seed,))
     _require_run_memory(n, basis, steps)
     mesh = build_mesh(n)
     weights = cq_weights(alpha, tau, steps)
@@ -277,7 +284,7 @@ def stability_probe(alpha, n=8, k=1, tau=0.02, trials=10, theta=1.0, seed=0, t_f
     ndof = (mesh.n * basis.nmodes) ** 2
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(int(trials)):
+    for _ in range(trials):
         g0 = rng.standard_normal(ndof)
         worst = max(worst, trajectory_growth(system, weights, g0, steps))
     return worst

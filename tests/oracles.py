@@ -13,7 +13,8 @@ arrays, kept as their references, the sparse
 discrete gradients that hand-derived matrices are checked against, and the
 block sweep with a sparse LU of the x-cell block and a cell-by-cell trace
 recurrence that the package used before it applied a dense inverse and a
-doubling scan.
+doubling scan.  Last, the memory estimate of a run as one formula, as the
+package wrote it before it named each array.
 """
 
 import math
@@ -22,8 +23,11 @@ from numbers import Integral
 import numpy as np
 import scipy.sparse as sp
 
+from fkramers.cq import SOE_CUTOFF, SOE_JACOBI_POINTS, SOE_PANEL_POINTS
 from fkramers.errors import PreconditionError
-from fkramers.ldg import _one_d_operators, _reference_blocks
+from fkramers.ldg import (
+    HISTORY_BLOCK, HISTORY_WINDOW, _group_rows, _one_d_operators, _reference_blocks,
+)
 from fkramers.mesh import modal_project
 from fkramers.problems import require_mesh_aligned
 
@@ -418,3 +422,30 @@ def trace_loop(traces, transfer):
     for i in range(1, traces.shape[0]):
         traces[i] += transfer @ traces[i - 1]
     return traces
+
+
+# ---------------------------------------------------------------------------
+# memory estimate
+# ---------------------------------------------------------------------------
+
+def run_doubles(n, basis, steps, terms=0):
+    """The doubles a run of `steps` steps on an n x n mesh was estimated to hold.
+
+    The sampled data and the levels; with steps, the weights and partial
+    sums, the six (Nm)^2 operator arrays, the x-cell block with its inverse,
+    the lift, the scan powers, the source factors and amplitudes, the
+    near-field weights and the group buffer; past the window, one level per
+    node of the sum-of-exponentials rule at alpha = 1, its panels counted
+    from log2 of the step count.
+    """
+    m = basis.nmodes
+    block = n * m
+    doubles = (n * (m + 1)) ** 2 + (steps + 1) * block ** 2
+    if steps:
+        doubles += 2 * (steps + 1) + 6 * block ** 2 + 2 * (block * m) ** 2 + m * block ** 2
+        doubles += (n - 1).bit_length() * block ** 2 + terms * (block ** 2 + steps + 1)
+        doubles += HISTORY_BLOCK * HISTORY_WINDOW + _group_rows(block ** 2) * block ** 2
+    if steps > HISTORY_WINDOW + HISTORY_BLOCK:
+        panels = math.ceil(math.log2(steps) + math.log2(SOE_CUTOFF / (HISTORY_WINDOW - 1)))
+        doubles += (SOE_JACOBI_POINTS + SOE_PANEL_POINTS * panels) * block ** 2
+    return doubles

@@ -158,6 +158,19 @@ class TestCommandSettings:
         assert "configuration error: %s does not read config key %r (line 2 of %r)" % (
             command, name, str(path)) in err, err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "problem", "ex9"), ("study-time", "fmt", "html"),
+    ])
+    def test_config_value_outside_choices_exit_two(self, command, key, value, capsys,
+                                                     monkeypatch, tmp_path):
+        monkeypatch.setattr("fkramers.cli._dispatch", lambda config: pytest.fail("ran"))
+        path = tmp_path / "c.cfg"
+        path.write_text("%s = %s\n" % (key, value))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: config key %r must be one of " % (key,) in err, err
+        assert "got %r" % (value,) in err
+
     def test_read_flags_and_keys_accepted(self, tmp_path):
         for command, names in COMMAND_SETTINGS.items():
             argv = [command]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkramers import OrderOutOfRange, PreconditionError, cq_weights
-from fkramers.cq import soe_rule
+from fkramers.cq import soe_node_count, soe_rule
 from fkramers.ldg import HISTORY_WINDOW
 from oracles import history_combination
 
@@ -167,6 +167,7 @@ class TestSoeRule:
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.8, 0.999])
     def test_matches_exact_weights(self, alpha, steps):
         nodes, coeffs = soe_rule(alpha, steps, HISTORY_WINDOW)
+        assert soe_node_count(alpha, steps, HISTORY_WINDOW) == nodes.size
         lags = np.random.default_rng(steps).integers(HISTORY_WINDOW + 1, steps + 1, 40)
         lags = np.unique(np.concatenate([[HISTORY_WINDOW + 1, HISTORY_WINDOW + 2, steps], lags]))
         a = mpmath.mpf(alpha)

@@ -34,6 +34,7 @@ from fkramers import (
     field_to_csv,
     gauss_rule,
     get_problem,
+    load_vector,
     modal_evaluate,
     modal_project,
     project_initial,
@@ -46,6 +47,7 @@ from fkramers.ldg import (
     HISTORY_WINDOW,
     _doubling_powers,
     _one_d_operators,
+    _run_arrays,
     _step_factors,
     _trace_scan,
     as_coeffs,
@@ -57,6 +59,7 @@ from oracles import (
     history_combination,
     kron_one_d_operators,
     load_at,
+    run_doubles,
     sparse_one_d_operators,
     splu_sweep,
     trace_loop,
@@ -637,6 +640,60 @@ class TestHistoryEngine:
         nodes = soe_rule(0.5, steps, HISTORY_WINDOW)[0].size
         ndof = levels.shape[1]
         assert peak <= levels.nbytes + (nodes + HISTORY_BLOCK) * ndof * 8 + 2 ** 18
+
+
+class TestRunArrays:
+    """The arrays of a run as `_run_arrays` names them, against the one-formula
+    estimate they replaced, the arrays a run leaves reachable and its peak."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 100000, 10 ** 12])
+    @pytest.mark.parametrize("k", [1, 2, 30])
+    def test_sum_is_the_former_estimate(self, n, k):
+        far = HISTORY_WINDOW + HISTORY_BLOCK
+        for steps in [0, 1, 15, 100, far, far + 1, 2000, 10 ** 6, 10 ** 8, 10 ** 300,
+                      int(np.finfo(float).max)]:
+            for terms in (0, 1, 2):
+                got = sum(_run_arrays(n, Basis(k), steps, terms).values())
+                assert got == run_doubles(n, Basis(k), steps, terms), (steps, terms)
+
+    @pytest.mark.parametrize("name, steps", [
+        ("ex1a", 100), ("ex1c", 100), ("ex1b", 400), ("ex1c", 400), ("ex2", 400),
+    ])
+    def test_entries_match_the_arrays_of_a_run(self, name, steps):
+        # inside the window and past it, each with and without a source
+        problem = get_problem(name, 0.5)
+        traj = run(problem, 4, 1, 1.0 / steps)
+        system, ndof = traj.system, traj.levels.shape[1]
+        arrays = _run_arrays(4, traj.basis, steps, len(problem.source_terms))
+        assert arrays["levels"] == traj.levels.size
+        assert arrays["weights"] == 2 * (steps + 1)
+        assert arrays["operators"] == (sum(a.size for a in _one_d_operators(traj.mesh, traj.basis))
+                                       + system.v_block.size)
+        assert arrays["cell block"] == 2 * system.inverse_t.size
+        assert arrays["lift"] == system.lift_t.size
+        assert arrays["powers"] == system.powers.size
+        assert arrays["source factors"] == load_vector(problem, traj.mesh, traj.basis).size
+        nodes = 0
+        if steps > HISTORY_WINDOW + HISTORY_BLOCK:
+            nodes = soe_rule(problem.alpha, steps, HISTORY_WINDOW)[0].size
+        assert arrays.get("accumulators", 0) == nodes * ndof
+
+    @pytest.mark.parametrize("name, n, k, steps", [
+        ("ex1b", 16, 1, 320), ("ex1b", 16, 1, 2000), ("ex1a", 16, 1, 100), ("ex2", 20, 2, 200),
+        ("ex2", 64, 2, 50),
+    ])
+    def test_sum_is_close_to_the_peak_of_a_run(self, name, n, k, steps):
+        problem = get_problem(name, 0.5)
+        run(problem, 2, k, 0.5)  # warm the caches
+        tracemalloc.start()
+        try:
+            run(problem, n, k, 1.0 / steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        estimate = 8 * sum(_run_arrays(n, Basis(k), steps, len(problem.source_terms)).values())
+        assert estimate >= 2 ** 20
+        assert 0.9 <= estimate / peak <= 1.5
 
 
 class TestRun:

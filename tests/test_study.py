@@ -1,6 +1,7 @@
 """Error measures, convergence tables, stability probe, and the decay diagnostic."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,17 @@ class TestTemporalStudy:
         with pytest.raises(PreconditionError, match=r"resolution, got \(\)"):
             spatial_study(get_problem("ex2", 0.5), 1, 0.25, resolutions=())
 
+    @pytest.mark.parametrize("study, kwargs", [
+        (temporal_study, {"n": 2, "k": 1, "inv_taus": (2.9, 4.5)}),
+        (spatial_study, {"k": 1, "tau": 0.25, "resolutions": (2.7, 4.2)}),
+        (spatial_study, {"k": 1, "tau": 0.25, "resolutions": (4, 8, 0)}),
+    ], ids=["temporal", "spatial", "spatial_zero"])
+    def test_bad_resolutions_rejected_before_any_run(self, study, kwargs, monkeypatch):
+        monkeypatch.setattr("fkramers.study.run", lambda *args: pytest.fail("a run started"))
+        values = kwargs.get("inv_taus", kwargs.get("resolutions"))
+        with pytest.raises(PreconditionError, match=re.escape("got %r" % (values,))):
+            study(get_problem("ex2", 0.5), **kwargs)
+
     def test_peak_memory_close_to_levels_of_one_run(self):
         # each final is kept as a copy, so the levels of the 80- and 160-step
         # runs are freed before the 320-step one allocates
@@ -270,7 +282,11 @@ class TestStability:
         ({"t_final": math.inf}, "final time must be finite"),
         ({"t_final": 0.0}, "at least one step"),
         ({"trials": 0}, "at least one trial"),
-    ], ids=["non_integral", "nan_step", "inf_horizon", "zero_horizon", "zero_trials"])
+        ({"trials": 2.5}, "integer count of at least one trial, got 2.5"),
+        ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
+    ], ids=["non_integral", "nan_step", "inf_horizon", "zero_horizon", "zero_trials",
+            "fractional_trials", "negative_seed", "fractional_seed"])
     def test_non_integral_horizon_rejected(self, kwargs, match):
         args = {"n": 2, "k": 1, "tau": 0.25, "trials": 1, **kwargs}
         with pytest.raises(PreconditionError, match=match):
