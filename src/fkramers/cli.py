@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .cq import cq_weights
@@ -48,51 +48,44 @@ SPATIAL_ALPHAS = {1: (0.3, 0.5, 0.7), 2: (0.4, 0.6, 0.8)}
 STABILITY_ALPHAS = (0.3, 0.5, 0.8)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings for one CLI invocation; `parse` fills the command-dependent ones."""
-
-    command: str
-    problem: Optional[str] = None
-    alpha: Optional[float] = None
-    n: Optional[int] = None
-    k: int = 1
-    tau: Optional[float] = None
-    t_final: float = 1.0
-    theta: float = 1.0
-    steps: int = 10
-    trials: int = 10
-    seed: int = 0
-    out: Optional[str] = None
-    fmt: str = "csv"
-    n_list: tuple = DEFAULT_RESOLUTIONS
-    inv_taus: tuple = DEFAULT_INV_TAUS
-
-
 def resolution_list(raw):
     """A comma-separated list of integers, as `--N-list` and `--tau-list` take."""
     return tuple(int(tok) for tok in raw.split(",") if tok.strip())
 
 
 Setting = namedtuple("Setting", "flag type choices help", defaults=(str, None, None))
+
+
+def _setting(default, *args, **kwargs):
+    """A `RunConfig` field that is a setting: its flag, type, choices and help."""
+    return field(default=default, metadata={"setting": Setting(*args, **kwargs)})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Settings for one CLI invocation; `parse` fills the command-dependent ones."""
+
+    command: str
+    problem: Optional[str] = _setting(None, "--problem", choices=PROBLEM_IDS)
+    alpha: Optional[float] = _setting(None, "--alpha", float)
+    n: Optional[int] = _setting(None, "--N", int)
+    k: int = _setting(1, "--k", int)
+    tau: Optional[float] = _setting(None, "--tau", float)
+    t_final: float = _setting(1.0, "--T", float)
+    theta: float = _setting(1.0, "--theta", float)
+    steps: int = _setting(10, "--steps", int, help="weight count")
+    trials: int = _setting(10, "--trials", int)
+    seed: int = _setting(0, "--seed", int)
+    out: Optional[str] = _setting(None, "--out", help="output path (default: stdout)")
+    fmt: str = _setting("csv", "--format", choices=("csv", "markdown"))
+    n_list: tuple = _setting(DEFAULT_RESOLUTIONS, "--N-list", resolution_list,
+                             help="comma-separated mesh resolutions")
+    inv_taus: tuple = _setting(DEFAULT_INV_TAUS, "--tau-list", resolution_list,
+                               help="comma-separated reciprocal steps, e.g. 10,20,40")
+
+
 #: Every setting, keyed by its `RunConfig` field, which is also its config key.
-SETTINGS = {
-    "problem": Setting("--problem", choices=PROBLEM_IDS),
-    "alpha": Setting("--alpha", float),
-    "n": Setting("--N", int),
-    "k": Setting("--k", int),
-    "tau": Setting("--tau", float),
-    "t_final": Setting("--T", float),
-    "theta": Setting("--theta", float),
-    "steps": Setting("--steps", int, help="weight count"),
-    "trials": Setting("--trials", int),
-    "seed": Setting("--seed", int),
-    "out": Setting("--out", help="output path (default: stdout)"),
-    "fmt": Setting("--format", choices=("csv", "markdown")),
-    "n_list": Setting("--N-list", resolution_list, help="comma-separated mesh resolutions"),
-    "inv_taus": Setting("--tau-list", resolution_list,
-                        help="comma-separated reciprocal steps, e.g. 10,20,40"),
-}
+SETTINGS = {f.name: f.metadata["setting"] for f in fields(RunConfig) if "setting" in f.metadata}
 
 #: The settings each command reads; a flag or config key outside them is an error.
 COMMAND_SETTINGS = {
@@ -156,7 +149,7 @@ def _validate(config):
         raise OrderOutOfRange("alpha must lie in (0, 1], got %r" % (config.alpha,))
     if config.n is not None and config.n < 1:
         raise ConfigError("N must be a positive integer, got %r" % (config.n,))
-    # assembly integrates with k + 2 Gauss points
+    # projection integrates with k + 2 Gauss points
     if not 1 <= config.k <= MAX_QUAD_POINTS - 2:
         raise ConfigError("element degree k must be in [1, %d], got %r"
                           % (MAX_QUAD_POINTS - 2, config.k))

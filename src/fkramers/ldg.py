@@ -7,7 +7,10 @@ values at v = 0 and v = 1.  The diffusion flux takes the trace from below,
 plus a penalty term theta/h acting on the solution trace along v = 0.
 
 Because the basis is orthonormal per cell, element mass matrices are the
-identity, and the auxiliary variables are eliminated element-locally.
+identity, and the auxiliary variables are eliminated element-locally.  The
+v-fluxes alternate (Cockburn & Shu, SINUM 35, 1998), so the discrete
+v-divergence is the adjoint of the discrete v-gradient; the 1D operators are
+built from that one v-gradient and reference-cell matrices in closed form.
 
 The per-cell coefficient layout is (x-cell i, v-cell j, x-mode a, v-mode b).
 Internally vectors are raveled in the order (i, a, j, b) so every global
@@ -54,7 +57,7 @@ import numpy as np
 
 from .cq import MAX_STEPS, cq_weights, soe_node_count, soe_rule
 from .errors import PreconditionError, SolverFailure, _positive_finite, require_memory
-from .mesh import Basis, Mesh2D, build_mesh, gauss_rule, modal_project
+from .mesh import Basis, Mesh2D, build_mesh, modal_project
 from .problems import load_vector, require_mesh_aligned
 
 #: Relative residual accepted from the direct solver.
@@ -92,41 +95,52 @@ def as_coeffs(vec, n, nmodes):
 
 
 def _reference_blocks(basis):
-    """Small dense matrices on the reference interval used by all operators."""
-    rule = gauss_rule(basis.degree + 2)
-    tab = basis.eval_table(rule.nodes)
-    dtab = basis.deriv_table(rule.nodes)
-    der = (tab * rule.weights) @ dtab.T        # der[c, a] = int phi_c phi_a'
-    jmat = (tab * (rule.weights * rule.nodes)) @ tab.T  # int xi phi_d phi_b
-    el = basis.left_values()
-    er = basis.right_values()
-    return der, jmat, el, er
+    """The reference-cell matrices of the modes phi_a = sqrt(a + 1/2) P_a on [-1, 1].
+
+    In closed form: der[c, a] = int phi_c phi_a' is 2 sqrt((c + 1/2)(a + 1/2))
+    when c < a and c + a is odd, else 0; jmat = int xi phi_c phi_a is
+    tridiagonal with (c + 1) / sqrt((2c + 1)(2c + 3)) at (c, c + 1) and
+    (c + 1, c); er = sqrt(a + 1/2) and el = (-1)^a sqrt(a + 1/2) are the mode
+    values at xi = 1 and xi = -1.  der is formed from er er^T, so integration
+    by parts, der + der^T = er er^T - el el^T, holds exactly.
+    """
+    m = basis.nmodes
+    er = np.sqrt(np.arange(m) + 0.5)
+    el = er * (-1.0) ** np.arange(m)
+    c, a = np.indices((m, m))
+    der = np.where((c < a) & ((c + a) % 2 == 1), 2.0 * np.outer(er, er), 0.0)
+    n = np.arange(1.0, m)
+    jmat = np.diag(n / np.sqrt((2.0 * n - 1.0) * (2.0 * n + 1.0)), 1)
+    return der, jmat + jmat.T, el, er
 
 
 def _one_d_operators(mesh, basis):
-    """The five 1D operators whose Kronecker products build the scheme.
+    """The five 1D operators (grad_x, grad_v, div_v, vmass, penalty) of the scheme.
 
-    Dense arrays of order N (k + 1), each written block by block onto its
-    (k + 1) x (k + 1) block diagonals; even at N = 64, k = 2 the five hold a
-    small fraction of the entries of the assembled operator.
+    Dense arrays of order N (k + 1).  grad_v, vmass and penalty are written
+    block by block onto their (k + 1) x (k + 1) block diagonals; even at
+    N = 64, k = 2 the five hold a small fraction of the entries of the
+    assembled operator.  The other two follow from integration by parts on
+    the reference cell, der + der^T = er er^T - el el^T: with the alternating
+    fluxes the v-divergence is the adjoint of the v-gradient, div_v = grad_v^T,
+    and the upwind x-gradient differs from -grad_v^T only by the first
+    cell's lower-face term (2/h) el el^T, which is h penalty:
+    grad_x = h penalty - grad_v^T.
     """
     n, h, m = mesh.n, mesh.h, basis.nmodes
     der, jmat, el, er = _reference_blocks(basis)
     left = np.outer(el, el)  # the two traces on a cell's lower face
-    cross = np.outer(el, er)  # a cell's lower face against its lower neighbour's upper one
     two_h = 2.0 / h
 
-    grad_x = _block_diagonals(n, m, {0: two_h * (der + left), -1: two_h * -cross})
     grad_v_inner = der - np.outer(er, er)
     grad_v = _block_diagonals(n, m, {0: two_h * grad_v_inner, 1: two_h * np.outer(er, el)},
                               first=two_h * (grad_v_inner + left))
-    div_v = _block_diagonals(n, m, {0: two_h * (-der - left), -1: two_h * cross},
-                             first=two_h * -der)
     vmass = _block_diagonals(
         n, m, {0: mesh.centers[:, None, None] * np.eye(m) + 0.5 * h * jmat}
     )
     penalty = _block_diagonals(n, m, {}, first=(2.0 / h ** 2) * left)
-    return grad_x, grad_v, div_v, vmass, penalty
+    div_v = np.ascontiguousarray(grad_v.T)
+    return h * penalty - div_v, grad_v, div_v, vmass, penalty
 
 
 def _block_diagonals(n, m, diagonals, first=None):
@@ -227,13 +241,13 @@ class LDGSystem:
         cell = self.inverse_t.shape[0]
         return spla.splu(self.matrix[:cell, :cell].tocsc())
 
-    def solve(self, rhs, coupling=(), out=None):
+    def solve(self, rhs, coupling, out):
         """Solve a group of g consecutive time steps; raise SolverFailure if one fails.
 
-        `out` (a new array if None) has shape (p + g, ndof); its first p rows
-        are earlier solutions, read but not written.  Row r of the (g, ndof)
-        `rhs` holds step p + r's history, partial-sum and load terms, and
-        `coupling` the CQ weights d_1 .. d_{p+g-1}, so row r solves
+        `out` has shape (p + g, ndof); its first p rows are earlier
+        solutions, read but not written.  Row r of the (g, ndof) `rhs` holds
+        step p + r's history, partial-sum and load terms, and `coupling` the
+        CQ weights d_1 .. d_{p+g-1}, so row r solves
 
             (d0 I + spatial) x_{p+r} = rhs_r - sum_{j=1}^{p+r} d_j x_{p+r-j}
 
@@ -242,11 +256,16 @@ class LDGSystem:
         first row whose residual exceeds SOLVE_RTOL of its right-hand side,
         both in the 2-norm, raises SolverFailure; the rows after it were
         computed from its solution.  `rhs` is the residual's buffer and so is
-        overwritten.
+        overwritten.  An `out` of fewer rows than `rhs`, or fewer than
+        p + g - 1 weights, raises PreconditionError.
         """
-        if out is None:
-            out = np.empty_like(rhs)
         p = out.shape[0] - rhs.shape[0]
+        if p < 0:
+            raise PreconditionError("%d right-hand sides do not fit an output of %d rows"
+                                    % (rhs.shape[0], out.shape[0]))
+        if len(coupling) < out.shape[0] - 1:
+            raise PreconditionError("an output of %d rows needs %d CQ weights, got %d"
+                                    % (out.shape[0], out.shape[0] - 1, len(coupling)))
         lags = np.ascontiguousarray(coupling[::-1])  # d_{p+g-1} .. d_1; a reversed view is slow
         # a failed row feeds non-finite values into the later rows; the check
         # below reports the first failed row, so no overflow warning is needed
@@ -508,8 +527,10 @@ def _require_run_memory(n, basis, steps, terms=0):
                                 % (steps, MAX_STEPS))
 
 
-def march(system, weights, g0_vec, source, steps):
+def march(system, weights, g0_vec, source):
     """Run the stepping loop on raw vectors; returns all levels, shape (steps+1, ndof).
+
+    The run has as many steps as `weights`, steps = weights.steps.
 
     `source` is None when source-free, else a pair (amplitudes, factors):
     the (steps+1, K) array amplitudes[n, k] = a_k(t_n) and the (K, ndof)
@@ -540,13 +561,12 @@ def march(system, weights, g0_vec, source, steps):
     those of :func:`_run_arrays`, plus temporaries of at most BUFFER_BYTES
     in the far field and of a group's size in its solve.
     """
-    d = weights.d
-    s = weights.partial_sums
+    d, s, steps = weights.d, weights.partial_sums, weights.steps
     levels = np.zeros((steps + 1, g0_vec.size))
     levels[0] = g0_vec
     far = None
     if weights.alpha < 1.0 and steps > HISTORY_WINDOW + HISTORY_BLOCK:
-        far = _FarField(weights, steps, g0_vec.size)
+        far = _FarField(weights, g0_vec.size)
     # near[r, c] = d[W + r - c], the weight from column c of a window to row r
     near = d[np.minimum(np.subtract.outer(np.arange(HISTORY_BLOCK), np.arange(HISTORY_WINDOW))
                         + HISTORY_WINDOW, steps)]
@@ -575,8 +595,8 @@ class _FarField:
     """Sum-of-exponentials accumulators for the lags beyond HISTORY_WINDOW,
     the "accumulators" of :func:`_run_arrays`."""
 
-    def __init__(self, weights, steps, ndof):
-        x, c = soe_rule(weights.alpha, steps, HISTORY_WINDOW)
+    def __init__(self, weights, ndof):
+        x, c = soe_rule(weights.alpha, weights.steps, HISTORY_WINDOW)
         r = np.arange(HISTORY_BLOCK)
         self.decay = np.exp(-HISTORY_BLOCK * x)
         # enter[l, r] weights level p - B + 1 + r on entering accumulator l
@@ -637,7 +657,7 @@ def run(problem, n, k, tau, theta=1.0):
         for column, (a, _) in zip(amplitudes.T, terms):
             column[...] = a(times)
         source = (amplitudes, factors)
-    levels = march(system, weights, as_vector(g0_field.coeffs), source, steps)
+    levels = march(system, weights, as_vector(g0_field.coeffs), source)
     return Trajectory(
         problem=problem, mesh=mesh, basis=basis, tau=tau, theta=theta,
         times=times, levels=levels, system=system,

@@ -36,22 +36,6 @@ def _legendre_raw(max_degree, xi):
     return table
 
 
-def _legendre_raw_deriv(max_degree, xi):
-    """Unnormalized derivatives P_0'..P_max' at xi, shape (m, npts).
-
-    Uses P'_{n} = P'_{n-2} + (2n - 1) P_{n-1}, which is stable up to and
-    including the endpoints xi = +-1.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    raw = _legendre_raw(max_degree, xi)
-    deriv = np.zeros_like(raw)
-    if max_degree >= 1:
-        deriv[1] = 1.0
-    for n in range(2, max_degree + 1):
-        deriv[n] = deriv[n - 2] + (2 * n - 1) * raw[n - 1]
-    return deriv
-
-
 def _scale(max_degree):
     return np.sqrt(np.arange(max_degree + 1) + 0.5)
 
@@ -59,11 +43,6 @@ def _scale(max_degree):
 def legendre_table(max_degree, xi):
     """Orthonormal Legendre values, rows = degrees 0..max_degree, cols = points."""
     return _legendre_raw(max_degree, xi) * _scale(max_degree)[:, None]
-
-
-def legendre_deriv_table(max_degree, xi):
-    """Derivatives of the orthonormal Legendre polynomials, same layout."""
-    return _legendre_raw_deriv(max_degree, xi) * _scale(max_degree)[:, None]
 
 
 @dataclass(frozen=True)
@@ -83,9 +62,6 @@ class Basis:
     def eval_table(self, xi):
         """Values of all modes at reference points, shape (nmodes, npts)."""
         return legendre_table(self.degree, xi)
-
-    def deriv_table(self, xi):
-        return legendre_deriv_table(self.degree, xi)
 
     def left_values(self):
         """Mode values at the reference left endpoint xi = -1."""

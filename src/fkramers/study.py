@@ -27,15 +27,19 @@ DEFAULT_RESOLUTIONS = (4, 8, 12, 16, 20)
 DEFAULT_INV_TAUS = (10, 20, 40, 80, 160)
 
 
+def _require_distinct(resolutions):
+    if len({float(r) for r in resolutions}) < len(resolutions):
+        raise PreconditionError("resolutions must be distinct, got %r" % (tuple(resolutions),))
+
+
 def rates_from_errors(resolutions, errors):
     """Observed orders: log(E_i / E_{i+1}) / log(r_{i+1} / r_i).
 
     The resolutions must be distinct and the errors positive.
     """
+    _require_distinct(resolutions)
     res = [float(r) for r in resolutions]
     err = [float(e) for e in errors]
-    if len(set(res)) < len(res):
-        raise PreconditionError("resolutions must be distinct, got %r" % (tuple(resolutions),))
     if not all(e > 0.0 for e in err):
         raise PreconditionError("errors must be positive, got %r" % (tuple(errors),))
     return tuple(
@@ -195,6 +199,7 @@ def temporal_study(problem, n=16, k=1, inv_taus=DEFAULT_INV_TAUS, theta=1.0):
     if not inv_taus or not all(isinstance(r, Integral) and r >= 1 for r in inv_taus):
         raise PreconditionError("temporal study needs positive integer resolutions, got %r"
                                 % (inv_taus,))
+    _require_distinct(inv_taus)
     needed = sorted(set(inv_taus) | {2 * r for r in inv_taus})
     finals = {}
     for inv in needed:
@@ -229,6 +234,7 @@ def spatial_study(problem, k, tau, resolutions=DEFAULT_RESOLUTIONS, theta=1.0):
     if not resolutions or not all(isinstance(r, Integral) and r >= 1 for r in resolutions):
         raise PreconditionError("spatial study needs at least one resolution, a positive integer"
                                 " for each resolution, got %r" % (resolutions,))
+    _require_distinct(resolutions)
     errors = []
     for n in resolutions:
         # no name keeps a run's levels alive while the next run allocates
@@ -245,12 +251,13 @@ def spatial_study(problem, k, tau, resolutions=DEFAULT_RESOLUTIONS, theta=1.0):
     )
 
 
-def trajectory_growth(system, weights, g0_vec, steps):
-    """max_n ||g^n|| / ||g^0|| for a source-free run; 0 for zero initial data."""
+def trajectory_growth(system, weights, g0_vec):
+    """max_n ||g^n|| / ||g^0|| for a source-free run of weights.steps steps; 0 for
+    zero initial data."""
     norm0 = np.linalg.norm(g0_vec)
     if norm0 == 0.0:
         return 0.0
-    levels = march(system, weights, g0_vec, None, steps)
+    levels = march(system, weights, g0_vec, None)
     norms = np.linalg.norm(levels[1:], axis=1)
     return float(norms.max() / norm0)
 
@@ -286,7 +293,7 @@ def stability_probe(alpha, n=8, k=1, tau=0.02, trials=10, theta=1.0, seed=0, t_f
     worst = 0.0
     for _ in range(trials):
         g0 = rng.standard_normal(ndof)
-        worst = max(worst, trajectory_growth(system, weights, g0, steps))
+        worst = max(worst, trajectory_growth(system, weights, g0))
     return worst
 
 
@@ -310,11 +317,11 @@ def regularity_diagnostic(problem, n=16, k=1, tau=0.01, theta=1.0):
     characteristic initial-layer behavior for nonsmooth data.  If the
     quotients vanish (steady solutions) the fit is flagged degenerate.
     """
-    traj = run(problem, n, k, tau, theta)
-    levels = traj.levels
-    steps = levels.shape[0] - 1
+    steps = _integral_steps(problem.t_final, _positive_finite(tau, "time step"))
     if steps < 6:
         raise PreconditionError("too few steps for a regularity fit: %d, need at least 6" % steps)
+    traj = run(problem, n, k, tau, theta)
+    levels = traj.levels
     # axis=0 sums each pair's squares exactly as a row-wise norm would
     quots = np.array([np.linalg.norm(b - a, axis=0) for a, b in zip(levels, levels[1:])]) / traj.tau
     times = traj.times[1:]

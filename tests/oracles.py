@@ -290,6 +290,30 @@ class ClassicalLDG:
 
 
 # ---------------------------------------------------------------------------
+# the reference-cell matrices by quadrature
+# ---------------------------------------------------------------------------
+
+def quadrature_reference_blocks(degree):
+    """(der, jmat, el, er) of the modes phi_a = sqrt(a + 1/2) P_a on [-1, 1].
+
+    der[c, a] = int phi_c phi_a' and jmat[c, a] = int xi phi_c phi_a by
+    Gauss-Legendre quadrature with degree + 2 points, exact for their
+    polynomial degree; values and derivatives come from numpy's Legendre
+    class; el and er are the mode values at xi = -1 and xi = 1.  The package
+    built its matrices this way before it wrote them in closed form.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(degree + 2)
+    modes = [math.sqrt(a + 0.5) * np.polynomial.Legendre.basis(a) for a in range(degree + 1)]
+    tab = np.array([phi(nodes) for phi in modes])
+    dtab = np.array([phi.deriv()(nodes) for phi in modes])
+    der = (tab * weights) @ dtab.T
+    jmat = (tab * (weights * nodes)) @ tab.T
+    el = np.array([phi(-1.0) for phi in modes])
+    er = np.array([phi(1.0) for phi in modes])
+    return der, jmat, el, er
+
+
+# ---------------------------------------------------------------------------
 # the per-step load
 # ---------------------------------------------------------------------------
 

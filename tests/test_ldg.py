@@ -47,6 +47,7 @@ from fkramers.ldg import (
     HISTORY_WINDOW,
     _doubling_powers,
     _one_d_operators,
+    _reference_blocks,
     _run_arrays,
     _step_factors,
     _trace_scan,
@@ -59,6 +60,7 @@ from oracles import (
     history_combination,
     kron_one_d_operators,
     load_at,
+    quadrature_reference_blocks,
     run_doubles,
     sparse_one_d_operators,
     splu_sweep,
@@ -70,7 +72,7 @@ SQ3 = math.sqrt(3.0)
 
 def solve_one(system, rhs):
     """One step's solution, from a group of one; `rhs` is left as it is."""
-    return system.solve(rhs[None].copy())[0]
+    return system.solve(rhs[None].copy(), (), np.empty((1, rhs.size)))[0]
 
 
 class TestGradientOperators:
@@ -177,10 +179,28 @@ class TestSpatialAssembly:
 
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (16, 1), (20, 2), (64, 2), (5, 3)])
     def test_block_diagonals_match_kron_form(self, n, k):
+        # grad_v, div_v = grad_v^T, vmass and penalty agree exactly; the first
+        # block of grad_x = h penalty - grad_v^T rounds differently from the
+        # kron form's where h is not a power of two
         mesh = build_mesh(n)
         basis = Basis(k)
-        for got, ref in zip(_one_d_operators(mesh, basis), kron_one_d_operators(mesh, basis)):
-            assert np.array_equal(got, ref)
+        (grad_x, *got), (ref_x, *ref) = (_one_d_operators(mesh, basis),
+                                         kron_one_d_operators(mesh, basis))
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+        assert np.max(np.abs(grad_x - ref_x)) <= 1e-15 * np.max(np.abs(ref_x))
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_reference_blocks_match_quadrature(self, k):
+        # integration by parts holds exactly for every degree the CLI accepts;
+        # against Gauss quadrature of numpy's Legendre polynomials the closed
+        # forms agree to rounding, relative in the Frobenius norm
+        der, _, el, er = blocks = _reference_blocks(Basis(k))
+        assert np.array_equal(der + der.T, np.outer(er, er) - np.outer(el, el))
+        if k <= 12 or k == 30:
+            tol = 1e-14 if k <= 12 else 1e-13
+            for got, ref in zip(blocks, quadrature_reference_blocks(k)):
+                assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
 
 
 class TestSystem:
@@ -193,7 +213,7 @@ class TestSystem:
         system = build_system(mesh, basis, weights.d[0], 1.0)
         rng = np.random.default_rng(7)
         g0 = rng.standard_normal(16)
-        levels = march(system, weights, g0, None, 3)
+        levels = march(system, weights, g0, None)
 
         dense = system.matrix.toarray()
         d = weights.d
@@ -214,10 +234,16 @@ class TestSystem:
         rng = np.random.default_rng(11)
         u0 = rng.standard_normal(16)
         v0 = rng.standard_normal(16)
-        lu = march(system, weights, u0, None, 4)
-        lv = march(system, weights, v0, None, 4)
-        lw = march(system, weights, u0 + v0, None, 4)
+        lu = march(system, weights, u0, None)
+        lv = march(system, weights, v0, None)
+        lw = march(system, weights, u0 + v0, None)
         assert np.max(np.abs(lw - (lu + lv))) <= 1e-11
+
+    @pytest.mark.parametrize("steps", [1, 10, 17])
+    def test_march_returns_a_level_per_weight(self, steps):
+        weights = cq_weights(0.5, 0.1, steps)
+        system = build_system(build_mesh(2), Basis(1), weights.d[0], 1.0)
+        assert march(system, weights, np.ones(16), None).shape == (weights.steps + 1, 16)
 
     def test_matrix_unchanged_by_march(self):
         mesh = build_mesh(2)
@@ -225,7 +251,7 @@ class TestSystem:
         weights = cq_weights(0.5, 0.1, 5)
         system = build_system(mesh, basis, weights.d[0], 1.0)
         before = system.matrix.toarray().tobytes()
-        march(system, weights, np.ones(16), None, 5)
+        march(system, weights, np.ones(16), None)
         assert system.matrix.toarray().tobytes() == before
 
     def test_solver_failure_on_nonfinite_load(self):
@@ -355,7 +381,15 @@ class TestGroupSolve:
         x = ref[mid] * (1.0 + 1e-8)
         ratio = np.linalg.norm(system.matrix @ x - eff[mid]) / np.linalg.norm(eff[mid])
         with pytest.raises(SolverFailure, match="residual %.3e of the load" % ratio):
-            system.solve(rhs, coupling)
+            system.solve(rhs, coupling, np.empty_like(rhs))
+
+    def test_short_coupling_or_output_rejected(self):
+        # a group of two rows needs one weight, and an output of two rows
+        system, coupling, rhs = self._group(2, 1, 2)
+        with pytest.raises(PreconditionError, match="output of 2 rows needs 1 CQ weights, got 0"):
+            system.solve(rhs, (), np.empty_like(rhs))
+        with pytest.raises(PreconditionError, match="2 right-hand sides do not fit an output of 1"):
+            system.solve(rhs, coupling, np.empty_like(rhs[:1]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("g", [1, 5, 16])
@@ -368,7 +402,7 @@ class TestGroupSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverFailure, match="residual"):
-                system.solve(rhs, coupling)
+                system.solve(rhs, coupling, np.empty_like(rhs))
 
 
 #: every order at which a built-in problem's temporal table is computed
@@ -524,7 +558,7 @@ class TestHistoryEngine:
         weights = cq_weights(alpha, 0.01, steps)
         system = build_system(mesh, basis, weights.d[0], 1.0)
         g0 = np.random.default_rng(steps).standard_normal(16)
-        got = march(system, weights, g0, None, steps)
+        got = march(system, weights, g0, None)
         ref = reference_march(system, weights, g0, lambda n: None, steps)
         assert_levels_close(got, ref, 1e-12)
 
@@ -560,7 +594,7 @@ class TestHistoryEngine:
         weights = cq_weights(alpha, 0.01, steps)
         system = build_system(build_mesh(2), Basis(1), weights.d[0], 1.0)
         g0 = np.random.default_rng(steps).standard_normal(16)
-        got = march(system, weights, g0, None, steps)
+        got = march(system, weights, g0, None)
         ref = reference_march(system, weights, g0, lambda n: None, steps)
         assert_levels_close(got, ref, 1e-12)
 
@@ -587,7 +621,7 @@ class TestHistoryEngine:
         g0 = rng.standard_normal(ndof)
         amplitudes = rng.standard_normal((steps + 1, 3))
         factors = rng.standard_normal((3, ndof))
-        got = march(system, weights, g0, (amplitudes, factors), steps)
+        got = march(system, weights, g0, (amplitudes, factors))
         # the reference forms each step's load on its own
         ref = reference_march(system, weights, g0, lambda m: amplitudes[m] @ factors, steps)
         assert_levels_close(got, ref, 1e-12)
@@ -602,7 +636,7 @@ class TestHistoryEngine:
         g0 = np.random.default_rng(1).standard_normal(16 * 16 * 4)
         tracemalloc.start()
         try:
-            levels = march(system, weights, g0, None, steps)
+            levels = march(system, weights, g0, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -619,7 +653,7 @@ class TestHistoryEngine:
             source = (rng.standard_normal((steps + 1, terms)), rng.standard_normal((terms, g0.size)))
         tracemalloc.start()
         try:
-            levels = march(system, weights, g0, source, steps)
+            levels = march(system, weights, g0, source)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -196,7 +196,9 @@ class TestTemporalStudy:
         (temporal_study, {"n": 2, "k": 1, "inv_taus": (2.9, 4.5)}),
         (spatial_study, {"k": 1, "tau": 0.25, "resolutions": (2.7, 4.2)}),
         (spatial_study, {"k": 1, "tau": 0.25, "resolutions": (4, 8, 0)}),
-    ], ids=["temporal", "spatial", "spatial_zero"])
+        (temporal_study, {"n": 2, "k": 1, "inv_taus": (2, 2)}),
+        (spatial_study, {"k": 1, "tau": 0.25, "resolutions": (2, 4, 2)}),
+    ], ids=["temporal", "spatial", "spatial_zero", "temporal_repeated", "spatial_repeated"])
     def test_bad_resolutions_rejected_before_any_run(self, study, kwargs, monkeypatch):
         monkeypatch.setattr("fkramers.study.run", lambda *args: pytest.fail("a run started"))
         values = kwargs.get("inv_taus", kwargs.get("resolutions"))
@@ -268,7 +270,7 @@ class TestStability:
 
         w = cq_weights(0.5, 0.25, 4)
         system = build_system(build_mesh(2), Basis(1), w.d[0], 1.0)
-        assert trajectory_growth(system, w, np.zeros(16), 4) == 0.0
+        assert trajectory_growth(system, w, np.zeros(16)) == 0.0
 
     def test_probe_is_reproducible_and_small(self):
         a = stability_probe(0.5, n=2, k=1, tau=0.25, trials=3, seed=4)
@@ -321,6 +323,11 @@ class TestRegularity:
 
     def test_five_steps_rejected_with_their_count(self):
         # the fit window [2, steps // 2] of 5 steps holds one point
+        with pytest.raises(PreconditionError, match="too few steps for a regularity fit: 5"):
+            regularity_diagnostic(get_problem("ex1b", 0.5), n=2, k=1, tau=0.2)
+
+    def test_too_few_steps_rejected_before_the_run(self, monkeypatch):
+        monkeypatch.setattr("fkramers.study.run", lambda *args: pytest.fail("a run started"))
         with pytest.raises(PreconditionError, match="too few steps for a regularity fit: 5"):
             regularity_diagnostic(get_problem("ex1b", 0.5), n=2, k=1, tau=0.2)
 
