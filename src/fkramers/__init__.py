@@ -38,8 +38,6 @@ from .mesh import (
 from .problems import (
     PROBLEM_IDS,
     ProblemSpec,
-    example1,
-    example2,
     get_problem,
     load_vector,
     require_mesh_aligned,
@@ -84,8 +82,6 @@ __all__ = [
     "build_mesh",
     "build_system",
     "cq_weights",
-    "example1",
-    "example2",
     "field_to_csv",
     "gauss_rule",
     "get_problem",

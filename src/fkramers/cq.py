@@ -20,7 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import OrderOutOfRange, PreconditionError, _positive_finite, require_memory
+from .errors import PreconditionError, _fractional_order, _positive_finite, require_memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +28,6 @@ class CQWeights:
     """Weights d_0..d_steps and their running partial sums."""
 
     alpha: float
-    tau: float
     steps: int
     d: np.ndarray
     partial_sums: np.ndarray
@@ -42,9 +41,7 @@ def cq_weights(alpha, tau, steps):
     stepping loop well behaved for long runs.  At most MAX_STEPS steps are
     accepted; an input beyond memory is named as such first.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise OrderOutOfRange("fractional order must lie in (0, 1], got %r" % (alpha,))
+    alpha = _fractional_order(alpha)
     tau = _positive_finite(tau, "time step")
     if not isinstance(steps, Integral) or steps < 0:
         raise PreconditionError("step count must be a nonnegative integer, got %r" % (steps,))
@@ -64,7 +61,7 @@ def cq_weights(alpha, tau, steps):
     d[0] = lead
     for j in range(1, steps + 1):
         d[j] = d[j - 1] * (j - 1 - alpha) / j
-    return CQWeights(alpha=alpha, tau=tau, steps=steps, d=d, partial_sums=np.cumsum(d))
+    return CQWeights(alpha=alpha, steps=steps, d=d, partial_sums=np.cumsum(d))
 
 
 #: Most time steps of one run, and most CQ weights; `soe_rule` is verified up to here.

@@ -1,6 +1,6 @@
 """Shared exception types for argument validation and solver failures, the
-check that a scalar input is positive and finite, and the check that an
-input's arrays can fit in memory at all.
+checks that a scalar input is positive and finite or a fractional order, and
+the check that an input's arrays can fit in memory at all.
 """
 
 import math
@@ -49,6 +49,15 @@ def _positive_finite(value, name):
     if not (math.isfinite(value) and value > 0.0):
         raise PreconditionError("%s must be positive and finite, got %r" % (name, value))
     return value
+
+
+def _fractional_order(alpha):
+    alpha = float(alpha)
+    # alpha = 1 is admitted as the degenerate classical backward-Euler case,
+    # used to cross-check the stepping loop against an independent code.
+    if not 0.0 < alpha <= 1.0:
+        raise OrderOutOfRange("fractional order must lie in (0, 1], got %r" % (alpha,))
+    return alpha
 
 
 def require_memory(doubles, what):

@@ -397,7 +397,7 @@ def assemble_system(factors, d0, basis):
     del block, diagonal
     if not np.isfinite(inverse_t).all():
         raise SolverFailure("the x-cell block has no finite inverse")
-    right = basis.right_values()
+    right = _reference_blocks(basis)[3]
     if nv > m:
         coupling = -np.kron(grad_x[m:2 * m, :1], vmass) / right[0]
     else:
@@ -433,11 +433,9 @@ class Trajectory:
     access, and `final` is always `fields[-1]`.
     """
 
-    problem: object
     mesh: Mesh2D
     basis: Basis
     tau: float
-    theta: float
     times: np.ndarray
     levels: np.ndarray = field(repr=False)
     system: Optional[LDGSystem]
@@ -643,8 +641,8 @@ def run(problem, n, k, tau, theta=1.0):
     times = tau * np.arange(steps + 1)
     if steps == 0:
         return Trajectory(
-            problem=problem, mesh=mesh, basis=basis, tau=tau, theta=theta,
-            times=times, levels=as_vector(g0_field.coeffs)[None], system=None,
+            mesh=mesh, basis=basis, tau=tau, times=times,
+            levels=as_vector(g0_field.coeffs)[None], system=None,
         )
     weights = cq_weights(problem.alpha, tau, steps)
     system = build_system(mesh, basis, weights.d[0], theta)
@@ -659,8 +657,7 @@ def run(problem, n, k, tau, theta=1.0):
         source = (amplitudes, factors)
     levels = march(system, weights, as_vector(g0_field.coeffs), source)
     return Trajectory(
-        problem=problem, mesh=mesh, basis=basis, tau=tau, theta=theta,
-        times=times, levels=levels, system=system,
+        mesh=mesh, basis=basis, tau=tau, times=times, levels=levels, system=system,
     )
 
 

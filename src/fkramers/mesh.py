@@ -59,17 +59,6 @@ class Basis:
     def nmodes(self):
         return self.degree + 1
 
-    def eval_table(self, xi):
-        """Values of all modes at reference points, shape (nmodes, npts)."""
-        return legendre_table(self.degree, xi)
-
-    def left_values(self):
-        """Mode values at the reference left endpoint xi = -1."""
-        return self.eval_table(np.array([-1.0]))[:, 0]
-
-    def right_values(self):
-        return self.eval_table(np.array([1.0]))[:, 0]
-
 
 @dataclass(frozen=True, eq=False)
 class Mesh2D:
@@ -167,5 +156,5 @@ def modal_evaluate(coeffs, mesh, basis, xi):
 
     Returns values with axes (x-cell, x-point, v-cell, v-point).
     """
-    tab = basis.eval_table(xi)
+    tab = legendre_table(basis.degree, xi)
     return (2.0 / mesh.h) * np.einsum("ijab,ap,bq->ipjq", coeffs, tab, tab)

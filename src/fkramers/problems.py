@@ -1,5 +1,8 @@
 """Benchmark problems: initial data, source terms, and exact solutions.
 
+`get_problem` builds each of the four problems (ex1a, ex1b, ex1c, ex2) from
+its id, and is where the id and the fractional order are checked.
+
 Coordinates are (x, v) on the open unit square; all callables are vectorized
 over numpy arrays and bounded on the closed square for t in [0, T].
 
@@ -16,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MisalignedDiscontinuity, OrderOutOfRange, PreconditionError
+from .errors import MisalignedDiscontinuity, PreconditionError, _fractional_order
 from .mesh import modal_project
 
 PROBLEM_IDS = ("ex1a", "ex1b", "ex1c", "ex2")
@@ -57,15 +60,6 @@ class ProblemSpec:
         return f
 
 
-def _check_alpha(alpha):
-    alpha = float(alpha)
-    # alpha = 1 is admitted as the degenerate classical backward-Euler case,
-    # used to cross-check the stepping loop against an independent code.
-    if not 0.0 < alpha <= 1.0:
-        raise OrderOutOfRange("fractional order must lie in (0, 1], got %r" % (alpha,))
-    return alpha
-
-
 def _indicator(x, v):
     """Indicator of the block (0.5, 1) x (0, 0.5)."""
     x = np.asarray(x, dtype=float)
@@ -73,73 +67,64 @@ def _indicator(x, v):
     return ((x > 0.5) & (x < 1.0) & (v > 0.0) & (v < 0.5)).astype(float)
 
 
-def example1(case, alpha, t_final=1.0):
-    """Source-free and nonsmooth test problems.
-
-    case "a": smooth separable initial data x*sin(pi*v), no source.
-    case "b": indicator initial data on (0.5, 1) x (0, 0.5), no source.
-    case "c": zero initial data, separable discontinuous-in-space source
-              with the time profile t**0.8.
-    """
-    alpha = _check_alpha(alpha)
-    if case not in ("a", "b", "c"):
-        raise PreconditionError("unknown case %r; expected 'a', 'b' or 'c'" % (case,))
-    data = {
-        "a": dict(g0=lambda x, v: x * np.sin(np.pi * v)),
-        "b": dict(g0=_indicator, discontinuities=(0.5,)),
-        "c": dict(g0=lambda x, v: 0.0 * (np.asarray(x, float) + np.asarray(v, float)),
-                  source_terms=((lambda t: t ** 0.8, _indicator),), discontinuities=(0.5,)),
-    }[case]
-    return ProblemSpec(name="ex1" + case, alpha=alpha, t_final=float(t_final), exact=None, **data)
+def _sin_sin(x, v):
+    return np.sin(np.pi * x) * np.sin(np.pi * v)
 
 
-def example2(alpha, t_final=1.0):
-    """Manufactured smooth problem with exact solution (t**alpha + 1) sin(pi x) sin(pi v).
-
-    The source is what the equation demands for that exact solution:
-    the fractional time derivative contributes Gamma(alpha + 1) sin sin, and
-    the spatial operator (including the unit zeroth-order shift) contributes
-    the bracketed factor times (t**alpha + 1).
-    """
-    alpha = _check_alpha(alpha)
-    # |bracket| <= pi**2 + 2 pi + 1 < 17.2 and gam <= 1, so f is finite up to T
-    if not math.isfinite(18.0 * (abs(float(t_final)) ** alpha + 1.0)):
-        raise PreconditionError("the source of ex2 overflows before T = %r" % (t_final,))
-    gam = math.gamma(alpha + 1.0)
-
-    def g0(x, v):
-        return np.sin(np.pi * x) * np.sin(np.pi * v)
-
-    def exact(x, v, t):
-        return (t ** alpha + 1.0) * np.sin(np.pi * x) * np.sin(np.pi * v)
-
-    def bracket(x, v):
-        sx = np.sin(np.pi * x)
-        sv = np.sin(np.pi * v)
-        return (
-            np.pi ** 2 * sx * sv
-            + v * np.pi * np.cos(np.pi * x) * sv
-            - v * np.pi * sx * np.cos(np.pi * v)
-            - sx * sv
-        )
-
-    return ProblemSpec(
-        name="ex2",
-        alpha=alpha,
-        t_final=float(t_final),
-        g0=g0,
-        exact=exact,
-        source_terms=((lambda t: gam, g0), (lambda t: t ** alpha + 1.0, bracket)),
+def _bracket(x, v):
+    """The spatial operator, with its unit zeroth-order shift, applied to sin(pi x) sin(pi v)."""
+    sx = np.sin(np.pi * x)
+    sv = np.sin(np.pi * v)
+    return (
+        np.pi ** 2 * sx * sv
+        + v * np.pi * np.cos(np.pi * x) * sv
+        - v * np.pi * sx * np.cos(np.pi * v)
+        - sx * sv
     )
 
 
 def get_problem(problem_id, alpha, t_final=1.0):
-    """Look up a problem by its string id: ex1a, ex1b, ex1c or ex2."""
-    if problem_id == "ex2":
-        return example2(alpha, t_final)
-    if problem_id in ("ex1a", "ex1b", "ex1c"):
-        return example1(problem_id[-1], alpha, t_final)
-    raise PreconditionError("unknown problem id %r; expected one of %s" % (problem_id, ", ".join(PROBLEM_IDS)))
+    """Build problem ex1a, ex1b, ex1c or ex2 of fractional order alpha up to t_final.
+
+    ex1a: smooth separable initial data x*sin(pi*v), no source.
+    ex1b: indicator initial data on (0.5, 1) x (0, 0.5), no source.
+    ex1c: zero initial data, separable discontinuous-in-space source with
+          the time profile t**0.8.
+    ex2:  manufactured smooth problem with exact solution
+          (t**alpha + 1) sin(pi x) sin(pi v).  Its source is what the
+          equation demands for that solution: the fractional time derivative
+          contributes Gamma(alpha + 1) sin sin, and the spatial operator the
+          bracket times (t**alpha + 1).
+    """
+    if problem_id not in PROBLEM_IDS:
+        raise PreconditionError("unknown problem id %r; expected one of %s"
+                                % (problem_id, ", ".join(PROBLEM_IDS)))
+    alpha = _fractional_order(alpha)
+    t_final = float(t_final)
+    if problem_id != "ex2":
+        data = {
+            "ex1a": dict(g0=lambda x, v: x * np.sin(np.pi * v)),
+            "ex1b": dict(g0=_indicator, discontinuities=(0.5,)),
+            "ex1c": dict(g0=lambda x, v: 0.0 * (np.asarray(x, float) + np.asarray(v, float)),
+                         source_terms=((lambda t: t ** 0.8, _indicator),), discontinuities=(0.5,)),
+        }[problem_id]
+        return ProblemSpec(name=problem_id, alpha=alpha, t_final=t_final, exact=None, **data)
+    # |bracket| <= pi**2 + 2 pi + 1 < 17.2 and gam <= 1, so f is finite up to T
+    if not math.isfinite(18.0 * (abs(t_final) ** alpha + 1.0)):
+        raise PreconditionError("the source of ex2 overflows before T = %r" % (t_final,))
+    gam = math.gamma(alpha + 1.0)
+
+    def exact(x, v, t):
+        return (t ** alpha + 1.0) * np.sin(np.pi * x) * np.sin(np.pi * v)
+
+    return ProblemSpec(
+        name="ex2",
+        alpha=alpha,
+        t_final=t_final,
+        g0=_sin_sin,
+        exact=exact,
+        source_terms=((lambda t: gam, _sin_sin), (lambda t: t ** alpha + 1.0, _bracket)),
+    )
 
 
 def require_mesh_aligned(lines, mesh):

@@ -11,12 +11,14 @@ The error analysis of the scheme is built on their tensor combination
 Pi = P^- (x) P^+ (minus in x, plus in v); `lemma_identity_residuals` forms it
 on one cell and evaluates the two exactness identities that make the
 one-sided fluxes superconvergent, for polynomial inputs of total degree k+1.
-Both `Projection1D.apply` and the identities integrate with degree + 3 Gauss
-points per direction.
+`Projection1D`'s rows, condition matrix and `apply`, and the identities,
+all integrate with degree + 3 Gauss points per direction.  An interval must
+have finite endpoints and a width whose inverse is finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -50,6 +52,10 @@ class Projection1D:
         lo, hi = self.interval
         if not hi > lo:
             raise PreconditionError("empty interval %r" % (self.interval,))
+        width = float(hi) - float(lo)
+        if not all(math.isfinite(e) for e in (lo, hi, width, 2.0 / width)):
+            raise PreconditionError("interval %r needs finite endpoints and a width whose inverse"
+                                    " is finite" % (self.interval,))
 
     @property
     def nmodes(self):
@@ -61,13 +67,14 @@ class Projection1D:
         xi = 2.0 * (np.asarray(x, dtype=float) - lo) / (hi - lo) - 1.0
         return legendre_table(self.degree, xi) * np.sqrt(2.0 / (hi - lo))
 
-    def rows(self, q):
+    def rows(self):
         """The defining functionals as (nodes, weights) pairs.
 
         Each functional acts as u -> sum(weights * u(nodes)); moment rows use
-        a mapped Gauss rule, endpoint rows a single unit weight.
+        the Gauss rule of degree + 3 points mapped to the interval, endpoint
+        rows a single unit weight.
         """
-        rule = gauss_rule(q)
+        rule = gauss_rule(self.degree + 3)
         lo, hi = self.interval
         nodes = lo + 0.5 * (hi - lo) * (rule.nodes + 1.0)
         scaled = 0.5 * (hi - lo) * rule.weights
@@ -80,20 +87,19 @@ class Projection1D:
             out.append((np.array([hi]), np.array([1.0])))
         return out
 
-    def condition_matrix(self, q):
-        """Rows of `rows(q)` applied to the modal basis; square and well conditioned."""
+    def condition_matrix(self):
+        """Rows of `rows()` applied to the modal basis; square and well conditioned."""
         mat = np.empty((self.nmodes, self.nmodes))
-        for r, (nodes, weights) in enumerate(self.rows(q)):
+        for r, (nodes, weights) in enumerate(self.rows()):
             mat[r] = self.basis_values(nodes) @ weights
         return mat
 
     def apply(self, u):
         """Modal coefficients of the projection of the callable u."""
-        q = self.degree + 3
         rhs = np.empty(self.nmodes)
-        for r, (nodes, weights) in enumerate(self.rows(q)):
+        for r, (nodes, weights) in enumerate(self.rows()):
             rhs[r] = float(np.asarray(u(nodes), dtype=float) @ weights)
-        return np.linalg.solve(self.condition_matrix(q), rhs)
+        return np.linalg.solve(self.condition_matrix(), rhs)
 
     def evaluate(self, coeffs, x):
         return coeffs @ self.basis_values(x)
@@ -139,10 +145,10 @@ def lemma_identity_residuals(u_coef, nux_coef, nuv_coef, cell, k):
 
     px = Projection1D("minus", k, (x_lo, x_hi))
     pv = Projection1D("plus", k, (v_lo, v_hi))
-    mat_x = px.condition_matrix(q)
-    mat_v = pv.condition_matrix(q)
-    rows_x = px.rows(q)
-    rows_v = pv.rows(q)
+    mat_x = px.condition_matrix()
+    mat_v = pv.condition_matrix()
+    rows_x = px.rows()
+    rows_v = pv.rows()
 
     def u_at(x, v):
         return _polyval2d(x, v, u_coef)

@@ -3,14 +3,16 @@
 The temporal studies measure self-convergence: the L2 distance at the final
 time between runs with steps tau and tau/2 on one fixed mesh.  The spatial
 studies measure the distance to a known exact solution through the nodal
-reconstruction both are tabulated with.  Rates are pure arithmetic on the
-stored errors, so tables can be reproduced exactly from their CSV form.
+reconstruction both are tabulated with, whose interface nodes are resolved
+by degree (see `nodal_values`).  A `ConvergenceTable` computes its rates
+from its errors by pure arithmetic, so tables can be reproduced exactly
+from their CSV form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Optional
 
@@ -35,8 +37,12 @@ def _require_distinct(resolutions):
 def rates_from_errors(resolutions, errors):
     """Observed orders: log(E_i / E_{i+1}) / log(r_{i+1} / r_i).
 
-    The resolutions must be distinct and the errors positive.
+    There must be one error per resolution, the resolutions must be distinct
+    and the errors positive.
     """
+    if len(resolutions) != len(errors):
+        raise PreconditionError("each resolution needs one error, got %d resolutions and %d"
+                                " errors" % (len(resolutions), len(errors)))
     _require_distinct(resolutions)
     res = [float(r) for r in resolutions]
     err = [float(e) for e in errors]
@@ -52,23 +58,22 @@ def rates_from_errors(resolutions, errors):
 class ConvergenceTable:
     """One refinement sweep at a fixed fractional order.
 
-    `axis` names the refined quantity ("1/tau" or "N").
+    `axis` names the refined quantity ("1/tau" or "N"); `rates` is computed
+    from the resolutions and errors by :func:`rates_from_errors`.
     """
 
     axis: str
     alpha: float
-    k: int
     resolutions: tuple
     errors: tuple
-    rates: tuple
+    rates: tuple = field(init=False)
 
     def __post_init__(self):
-        if len(self.rates) != len(self.errors) - 1:
-            raise PreconditionError("rate count must be error count minus one")
-        if len(self.resolutions) != len(self.errors):
-            raise PreconditionError("resolution count must match error count")
-        if not all(np.isfinite(self.errors)) or not all(np.isfinite(self.rates)):
-            raise PreconditionError("errors and rates must be finite")
+        if not all(np.isfinite(self.errors)):
+            raise PreconditionError("errors must be finite, got %r" % (tuple(self.errors),))
+        object.__setattr__(self, "rates", rates_from_errors(self.resolutions, self.errors))
+        if not all(np.isfinite(self.rates)):
+            raise PreconditionError("rates must be finite, got %r" % (self.rates,))
 
     def to_csv(self):
         lines = ["resolution,error,rate"]
@@ -121,13 +126,14 @@ def _lagrange_table(k, xi):
     return table
 
 
-def nodal_values(field, mode):
+def nodal_values(field):
     """Sample a field at the uniform global nodes, degree*N + 1 per direction.
 
-    Interface nodes carry one trace per adjacent cell.  mode "average" takes
-    the arithmetic mean of the adjacent traces and then sets the outermost
-    nodes to the zero boundary value; mode "one_sided" keeps the trace of the
-    last cell in ascending scan order and leaves the boundary alone.
+    Interface nodes carry one trace per adjacent cell, resolved by degree:
+    at degree 1 they take the arithmetic mean of the adjacent traces, and
+    the outermost nodes are then set to the zero boundary value; above
+    degree 1 they keep the trace of the last cell in ascending scan order,
+    and the boundary is left alone.
     """
     mesh, basis = field.mesh, field.basis
     k = basis.degree
@@ -135,14 +141,12 @@ def nodal_values(field, mode):
     tab = legendre_table(k, np.linspace(-1.0, 1.0, k + 1))
     vals = np.einsum("ijab,ap,bq->ipjq", field.coeffs, tab, tab) * (2.0 / mesh.h)
     g = k * n + 1
-    if mode == "one_sided":
+    if k > 1:
         out = np.zeros((g, g))
         for i in range(n):
             for j in range(n):
                 out[k * i:k * i + k + 1, k * j:k * j + k + 1] = vals[i, :, j, :]
         return out
-    if mode != "average":
-        raise PreconditionError("unknown trace resolution mode %r" % (mode,))
     acc = np.zeros((g, g))
     cnt = np.zeros((g, g))
     for i in range(n):
@@ -163,13 +167,12 @@ def nodal_reconstruction_error(field, exact, t=None):
     nodes are multi-valued for the discrete field; the convention under
     which the study's target tables were tabulated resolves them by degree:
     averaged traces with the boundary clamped to the prescribed boundary
-    value for degree 1, one-sided traces for higher degrees.
+    value for degree 1, one-sided traces for higher degrees (see nodal_values).
     """
     mesh, basis = field.mesh, field.basis
     k = basis.degree
     n = mesh.n
-    mode = "average" if k == 1 else "one_sided"
-    recon = nodal_values(field, mode)
+    recon = nodal_values(field)
     grid = np.linspace(0.0, 1.0, k * n + 1)
     x = grid[:, None]
     v = grid[None, :]
@@ -193,8 +196,12 @@ def temporal_study(problem, n=16, k=1, inv_taus=DEFAULT_INV_TAUS, theta=1.0):
 
     For each resolution 1/tau in `inv_taus`, the error is the final-time L2
     distance between the run with step tau and the run with step tau/2;
-    halved runs are shared between neighboring resolutions.
+    halved runs are shared between neighboring resolutions.  The problem's
+    final time must be positive.
     """
+    if not problem.t_final > 0.0:
+        raise PreconditionError("a temporal study needs a positive final time, got %r"
+                                % (problem.t_final,))
     inv_taus = tuple(inv_taus)
     if not inv_taus or not all(isinstance(r, Integral) and r >= 1 for r in inv_taus):
         raise PreconditionError("temporal study needs positive integer resolutions, got %r"
@@ -211,14 +218,7 @@ def temporal_study(problem, n=16, k=1, inv_taus=DEFAULT_INV_TAUS, theta=1.0):
     errors = tuple(
         l2_error(finals[inv], finals[2 * inv]) for inv in inv_taus
     )
-    return ConvergenceTable(
-        axis="1/tau",
-        alpha=problem.alpha,
-        k=k,
-        resolutions=inv_taus,
-        errors=errors,
-        rates=rates_from_errors(inv_taus, errors),
-    )
+    return ConvergenceTable(axis="1/tau", alpha=problem.alpha, resolutions=inv_taus, errors=errors)
 
 
 def spatial_study(problem, k, tau, resolutions=DEFAULT_RESOLUTIONS, theta=1.0):
@@ -241,14 +241,7 @@ def spatial_study(problem, k, tau, resolutions=DEFAULT_RESOLUTIONS, theta=1.0):
         errors.append(nodal_reconstruction_error(
             run(problem, n, k, tau, theta).final, problem.exact, t=problem.t_final))
     errors = tuple(errors)
-    return ConvergenceTable(
-        axis="N",
-        alpha=problem.alpha,
-        k=k,
-        resolutions=resolutions,
-        errors=errors,
-        rates=rates_from_errors(resolutions, errors),
-    )
+    return ConvergenceTable(axis="N", alpha=problem.alpha, resolutions=resolutions, errors=errors)
 
 
 def trajectory_growth(system, weights, g0_vec):

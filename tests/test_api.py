@@ -10,6 +10,8 @@ REMOVED = (
     "project_1d",
     "project_tensor",
     "TENSOR_KINDS",
+    "example1",
+    "example2",
 )
 
 

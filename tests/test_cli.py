@@ -340,6 +340,12 @@ class TestMain:
         assert code == 4
         assert "precondition violated" in capsys.readouterr().err
 
+    def test_zero_final_time_study_exit_four(self, capsys):
+        # the message names the final time, not a time step the user never gave
+        assert main(["study-time", "--T", "0"]) == 4
+        err = capsys.readouterr().err
+        assert "needs a positive final time, got 0.0" in err and "time step" not in err
+
     @pytest.mark.parametrize("argv", [
         ["cq-weights", "--steps", "1000000000000"],
         ["solve", "--tau", "1e-300", "--T", "1"],

@@ -55,6 +55,7 @@ from fkramers.ldg import (
     as_vector,
     march,
 )
+from fkramers.mesh import legendre_table
 from oracles import (
     assemble_gradient,
     history_combination,
@@ -201,6 +202,14 @@ class TestSpatialAssembly:
             tol = 1e-14 if k <= 12 else 1e-13
             for got, ref in zip(blocks, quadrature_reference_blocks(k)):
                 assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_system_right_values_are_the_table_at_one(self, k):
+        # the closed-form mode values at xi = 1 the sweep uses are the
+        # Legendre table's there, bit for bit
+        basis = Basis(k)
+        system = assemble_system(_step_factors(build_mesh(2), basis, 1.0), 1.0, basis)
+        assert system.right.tobytes() == legendre_table(k, [1.0])[:, 0].tobytes()
 
 
 class TestSystem:
@@ -776,7 +785,7 @@ class TestRun:
         assert len(traj.fields) == 5
         assert np.allclose(traj.times, 0.25 * np.arange(5))
         assert traj.final.coeffs.shape == (2, 2, 2, 2)
-        assert traj.tau == 0.25 and traj.theta == 1.0
+        assert traj.tau == 0.25
 
     def test_peak_memory_close_to_levels(self):
         # every field views a row of the array march returns, so the levels

@@ -14,6 +14,7 @@ from fkramers import (
     build_mesh,
     gauss_rule,
 )
+from fkramers.ldg import _reference_blocks
 from fkramers.mesh import (
     MAX_QUAD_POINTS,
     _weighted_table,
@@ -159,9 +160,10 @@ class TestBasis:
             Basis(0)
 
     def test_endpoint_tables(self):
-        basis = Basis(2)
-        assert np.allclose(basis.left_values(), basis.eval_table(np.array([-1.0]))[:, 0])
-        assert np.allclose(basis.right_values(), basis.eval_table(np.array([1.0]))[:, 0])
+        # the closed-form mode values at the cell ends are the table's at -1 and 1
+        _, _, el, er = _reference_blocks(Basis(2))
+        assert np.array_equal(el, legendre_table(2, [-1.0])[:, 0])
+        assert np.array_equal(er, legendre_table(2, [1.0])[:, 0])
 
     def test_basis_immutable(self):
         basis = Basis(2)
@@ -206,7 +208,7 @@ class TestModalProject:
         rule = gauss_rule(q)
         pts = cell_points(mesh, rule.nodes).ravel()
         grid = fn(pts[:, None], pts[None, :]).reshape(n, q, n, q)
-        tab = basis.eval_table(rule.nodes) * rule.weights
+        tab = legendre_table(k, rule.nodes) * rule.weights
         ref = 0.5 * mesh.h * np.einsum("ipjq,ap,bq->ijab", grid, tab, tab)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -220,7 +222,7 @@ class TestModalProject:
         basis = Basis(k)
         q = k + dq
         rule = gauss_rule(q)
-        fresh = basis.eval_table(rule.nodes) * rule.weights
+        fresh = legendre_table(k, rule.nodes) * rule.weights
         table = _weighted_table(k, q)
         assert table is _weighted_table(k, q)
         assert table.tobytes() == fresh.tobytes()

@@ -13,8 +13,6 @@ from fkramers import (
     PreconditionError,
     ProblemSpec,
     build_mesh,
-    example1,
-    example2,
     get_problem,
     load_vector,
 )
@@ -41,14 +39,14 @@ class TestCaputoOracle:
 
 class TestExample1:
     def test_case_a_data(self):
-        p = example1("a", 0.3)
+        p = get_problem("ex1a", 0.3)
         assert p.name == "ex1a" and p.f is None and p.exact is None
         assert p.discontinuities == ()
         assert float(p.g0(0.5, 0.5)) == pytest.approx(0.5, abs=1e-15)
         assert float(p.g0(0.0, 0.25)) == 0.0
 
     def test_case_b_indicator(self):
-        p = example1("b", 0.2)
+        p = get_problem("ex1b", 0.2)
         assert p.discontinuities == (0.5,)
         assert float(p.g0(0.75, 0.25)) == 1.0
         assert float(p.g0(0.25, 0.25)) == 0.0
@@ -56,7 +54,7 @@ class TestExample1:
         assert float(p.g0(0.5, 0.25)) == 0.0  # jump line itself is outside
 
     def test_case_c_source(self):
-        p = example1("c", 0.5)
+        p = get_problem("ex1c", 0.5)
         assert np.all(np.asarray(p.g0(np.linspace(0, 1, 5), 0.3)) == 0.0)
         assert float(p.f(0.75, 0.25, 0.0)) == 0.0
         assert float(p.f(0.75, 0.25, 1.0)) == 1.0
@@ -65,18 +63,18 @@ class TestExample1:
 
     def test_unknown_case_rejected(self):
         with pytest.raises(PreconditionError):
-            example1("d", 0.5)
+            get_problem("ex1d", 0.5)
 
 
 class TestExample2:
     def test_initial_data_matches_exact(self):
-        p = example2(0.5)
+        p = get_problem("ex2", 0.5)
         x = np.linspace(0.1, 0.9, 5)[:, None]
         v = np.linspace(0.1, 0.9, 5)[None, :]
         assert np.max(np.abs(p.exact(x, v, 0.0) - p.g0(x, v))) <= 1e-15
 
     def test_solution_vanishes_on_boundary(self):
-        p = example2(0.4)
+        p = get_problem("ex2", 0.4)
         grid = np.linspace(0.0, 1.0, 7)
         for t in (0.0, 0.5, 1.0):
             assert np.max(np.abs(p.exact(0.0, grid, t))) <= 1e-15
@@ -85,7 +83,7 @@ class TestExample2:
             assert np.max(np.abs(p.exact(grid, 1.0, t))) <= 1e-12
 
     def test_source_vanishes_at_lower_velocity_boundary(self):
-        p = example2(0.7)
+        p = get_problem("ex2", 0.7)
         x = np.linspace(0.0, 1.0, 9)
         assert np.max(np.abs(p.f(x, 0.0, 0.5))) <= 1e-12
 
@@ -94,7 +92,7 @@ class TestExample2:
         # residual of: caputo(G - G0) + v G_x - v G_v - G_vv - G - f = 0,
         # with the time term from the quadrature oracle and space derivatives
         # from five-point central differences
-        p = example2(alpha)
+        p = get_problem("ex2", alpha)
         rng = np.random.default_rng(17 + int(10 * alpha))
         d = 1e-3
         for _ in range(5):
@@ -120,11 +118,11 @@ class TestExample2:
 
     def test_source_finite_up_to_any_accepted_final_time(self):
         # the source grows like t**alpha times a factor below 18
-        p = example2(1.0, t_final=1e306)
+        p = get_problem("ex2", 1.0, t_final=1e306)
         grid = np.linspace(0.0, 1.0, 41)
         assert np.isfinite(p.f(grid[:, None], grid[None, :], p.t_final)).all()
         with pytest.raises(PreconditionError):
-            example2(1.0, t_final=1e308)
+            get_problem("ex2", 1.0, t_final=1e308)
 
 
 class TestGetProblem:

@@ -114,7 +114,7 @@ class TestProjection1D:
     def test_plain_condition_matrix_is_identity(self):
         # moments against the orthonormal modal basis are the coefficients
         proj = Projection1D("plain", 3, (0.2, 0.7))
-        assert np.max(np.abs(proj.condition_matrix(6) - np.eye(4))) <= 1e-13
+        assert np.max(np.abs(proj.condition_matrix() - np.eye(4))) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["plus", "minus"])
     def test_one_sided_needs_degree_one(self, kind):
@@ -128,6 +128,14 @@ class TestProjection1D:
     def test_empty_interval_rejected(self):
         with pytest.raises(PreconditionError):
             Projection1D("plain", 1, (0.5, 0.5))
+
+    @pytest.mark.parametrize("interval", [
+        (0.0, np.inf), (-np.inf, 0.0), (0.0, 1e-320), (-1e308, 1e308),
+    ])
+    def test_unusable_interval_rejected(self, interval):
+        # each would give NaN coefficients: 2 / width or width itself is not finite
+        with pytest.raises(PreconditionError, match="finite endpoints"):
+            Projection1D("plus", 2, interval)
 
 
 class TestLemmaIdentities:
@@ -188,3 +196,11 @@ class TestLemmaIdentities:
         nu_too_big[2, 2] = 1.0
         with pytest.raises(PreconditionError):
             lemma_identity_residuals(u_ok, nu_too_big, ok, self.CELL, 2)
+
+    @pytest.mark.parametrize("cell", [((0.0, np.inf), (0.0, 1.0)), ((0.0, 1.0), (0.0, 1e-320))])
+    def test_unusable_cell_rejected(self, cell):
+        u = np.zeros((3, 3))
+        u[1, 1] = 1.0
+        ok = np.zeros((2, 2))
+        with pytest.raises(PreconditionError, match="finite endpoints"):
+            lemma_identity_residuals(u, ok, ok, cell, 2)

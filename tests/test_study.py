@@ -60,6 +60,16 @@ class TestRates:
         with pytest.raises(PreconditionError):
             rates_from_errors(resolutions, errors)
 
+    @pytest.mark.parametrize("resolutions, errors", [
+        ((4, 8), (1.0,)),
+        ((4,), (1.0, 0.5)),
+        ((4, 8, 16), (1.0, 0.5)),
+    ])
+    def test_mismatched_lengths_rejected(self, resolutions, errors):
+        message = "got %d resolutions and %d errors" % (len(resolutions), len(errors))
+        with pytest.raises(PreconditionError, match=message):
+            rates_from_errors(resolutions, errors)
+
     def test_reproduces_tabulated_rate(self):
         # rounded stored errors reproduce the tabulated rate to table precision
         rate = rates_from_errors((4, 8), (1.032e-01, 2.625e-02))[0]
@@ -94,14 +104,14 @@ class TestL2Error:
 
 class TestNodalValues:
     def test_one_sided_constant(self):
-        fld = projected(lambda x, v: 1.0 + 0.0 * x * v, 2, 1)
-        vals = nodal_values(fld, "one_sided")
-        assert vals.shape == (3, 3)
+        fld = projected(lambda x, v: 1.0 + 0.0 * x * v, 2, 2)
+        vals = nodal_values(fld)
+        assert vals.shape == (5, 5)
         assert np.max(np.abs(vals - 1.0)) <= 1e-13
 
     def test_average_clamps_boundary(self):
         fld = projected(lambda x, v: 1.0 + 0.0 * x * v, 2, 1)
-        vals = nodal_values(fld, "average")
+        vals = nodal_values(fld)
         assert np.max(np.abs(vals[1:-1, 1:-1] - 1.0)) <= 1e-13
         assert np.all(vals[0, :] == 0.0) and np.all(vals[-1, :] == 0.0)
         assert np.all(vals[:, 0] == 0.0) and np.all(vals[:, -1] == 0.0)
@@ -110,14 +120,14 @@ class TestNodalValues:
         # per-cell constants: the shared interior node keeps the trace of the
         # cell later in the scan (larger x index here)
         mesh = build_mesh(2)
-        basis = Basis(1)
-        coeffs = np.zeros((2, 2, 2, 2))
+        basis = Basis(2)
+        coeffs = np.zeros((2, 2, 3, 3))
         coeffs[0, :, 0, 0] = 1.0 * mesh.h  # left column: constant 1
         coeffs[1, :, 0, 0] = 3.0 * mesh.h  # right column: constant 3
         fld = DGField(mesh, basis, coeffs)
-        vals = nodal_values(fld, "one_sided")
-        assert vals[0, 1] == pytest.approx(1.0, rel=1e-13)
-        assert vals[1, 1] == pytest.approx(3.0, rel=1e-13)  # overwritten by right cell
+        vals = nodal_values(fld)
+        assert vals[1, 2] == pytest.approx(1.0, rel=1e-13)
+        assert vals[2, 2] == pytest.approx(3.0, rel=1e-13)  # overwritten by right cell
 
     def test_average_averages_interior_traces(self):
         mesh = build_mesh(2)
@@ -125,13 +135,8 @@ class TestNodalValues:
         coeffs[0, :, 0, 0] = 1.0 * mesh.h
         coeffs[1, :, 0, 0] = 3.0 * mesh.h
         fld = DGField(mesh, Basis(1), coeffs)
-        vals = nodal_values(fld, "average")
+        vals = nodal_values(fld)
         assert vals[1, 1] == pytest.approx(2.0, rel=1e-13)  # mean of 1 and 3
-
-    def test_unknown_mode_rejected(self):
-        fld = zero_field(2, 1)
-        with pytest.raises(PreconditionError):
-            nodal_values(fld, "upwind")
 
 
 class TestNodalReconstructionError:
@@ -174,7 +179,7 @@ class TestNodalReconstructionError:
 class TestTemporalStudy:
     def test_smoke_first_order(self):
         table = temporal_study(get_problem("ex1a", 0.5), n=2, k=1, inv_taus=(4, 8, 16))
-        assert table.axis == "1/tau" and table.k == 1
+        assert table.axis == "1/tau"
         assert table.resolutions == (4, 8, 16)
         assert all(e > 0 for e in table.errors)
         assert table.errors[0] > table.errors[1] > table.errors[2]
@@ -184,6 +189,14 @@ class TestTemporalStudy:
     def test_bad_resolution_rejected(self):
         with pytest.raises(PreconditionError):
             temporal_study(get_problem("ex1a", 0.5), n=2, k=1, inv_taus=(0, 4))
+
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, float("nan")])
+    def test_nonpositive_final_time_rejected_before_any_run(self, t_final, monkeypatch):
+        monkeypatch.setattr("fkramers.study.run", lambda *args: pytest.fail("a run started"))
+        problem = get_problem("ex1a", 0.5, t_final=t_final)
+        with pytest.raises(PreconditionError,
+                           match=re.escape("needs a positive final time, got %r" % (t_final,))):
+            temporal_study(problem, n=2, k=1, inv_taus=(4, 8))
 
     def test_empty_resolutions_rejected_before_any_run(self, monkeypatch):
         monkeypatch.setattr("fkramers.study.run", lambda *args: pytest.fail("a run started"))
@@ -244,24 +257,30 @@ class TestSpatialStudy:
 class TestTable:
     def test_validation(self):
         with pytest.raises(PreconditionError):
-            ConvergenceTable("N", 0.5, 1, (4, 8), (1.0, 0.5), ())
+            ConvergenceTable("N", 0.5, (4, 8), (1.0,))
         with pytest.raises(PreconditionError):
-            ConvergenceTable("N", 0.5, 1, (4,), (1.0, 0.5), (1.0,))
+            ConvergenceTable("N", 0.5, (4,), (1.0, 0.5))
         with pytest.raises(PreconditionError):
-            ConvergenceTable("N", 0.5, 1, (4, 8), (1.0, float("nan")), (1.0,))
+            ConvergenceTable("N", 0.5, (4, 8), (1.0, float("nan")))
+        with pytest.raises(PreconditionError):
+            ConvergenceTable("N", 0.5, (4, 8), (1.0, float("inf")))
+
+    def test_rates_computed_from_errors(self):
+        table = ConvergenceTable("N", 0.5, (4, 8, 16), (1.0, 0.25, 0.125))
+        assert table.rates == rates_from_errors((4, 8, 16), (1.0, 0.25, 0.125)) == (2.0, 1.0)
 
     def test_csv_layout(self):
-        table = ConvergenceTable("N", 0.5, 1, (4, 8), (1.032e-1, 2.625e-2), (1.9755,))
+        table = ConvergenceTable("N", 0.5, (4, 8), (1.032e-1, 2.625e-2))
         lines = table.to_csv().strip().split("\n")
         assert lines[0] == "resolution,error,rate"
         assert lines[1] == "4,1.032E-01,"
-        assert lines[2] == "8,2.625E-02,1.9755"
+        assert lines[2] == "8,2.625E-02,1.9751"
 
     def test_markdown_layout(self):
-        table = ConvergenceTable("1/tau", 0.3, 1, (10, 20), (2.726e-4, 1.329e-4), (1.0360,))
+        table = ConvergenceTable("1/tau", 0.3, (10, 20), (2.726e-4, 1.329e-4))
         text = table.to_markdown()
         assert "| 10 | 20 |" in text
-        assert "2.726E-04" in text and "1.0360" in text
+        assert "2.726E-04" in text and "1.0364" in text
 
 
 class TestStability:
