@@ -7,15 +7,7 @@ discretized with a local discontinuous Galerkin method on tensor meshes.
 """
 
 from .cq import CQWeights, cq_weights
-from .errors import (
-    ConfigError,
-    InvalidResolution,
-    MeshMismatch,
-    MisalignedDiscontinuity,
-    OrderOutOfRange,
-    PreconditionError,
-    SolverFailure,
-)
+from .errors import ConfigError, PreconditionError, SolverFailure
 from .ldg import (
     DGField,
     LDGSystem,
@@ -64,12 +56,8 @@ __all__ = [
     "ConfigError",
     "ConvergenceTable",
     "DGField",
-    "InvalidResolution",
     "LDGSystem",
     "Mesh2D",
-    "MeshMismatch",
-    "MisalignedDiscontinuity",
-    "OrderOutOfRange",
     "PreconditionError",
     "PROBLEM_IDS",
     "ProblemSpec",

@@ -21,11 +21,9 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .cq import cq_weights
-from .errors import (
-    ConfigError, OrderOutOfRange, PreconditionError, SolverFailure, require_memory,
-)
+from .errors import ConfigError, PreconditionError, SolverFailure, require_memory
 from .ldg import field_to_csv, run
-from .mesh import MAX_QUAD_POINTS
+from .mesh import MAX_DEGREE
 from .problems import PROBLEM_IDS, get_problem
 from .study import (
     DEFAULT_INV_TAUS,
@@ -146,13 +144,11 @@ def _build_parser():
 
 def _validate(config):
     if config.alpha is not None and not 0.0 < config.alpha <= 1.0:
-        raise OrderOutOfRange("alpha must lie in (0, 1], got %r" % (config.alpha,))
+        raise ConfigError("alpha must lie in (0, 1], got %r" % (config.alpha,))
     if config.n is not None and config.n < 1:
         raise ConfigError("N must be a positive integer, got %r" % (config.n,))
-    # projection integrates with k + 2 Gauss points
-    if not 1 <= config.k <= MAX_QUAD_POINTS - 2:
-        raise ConfigError("element degree k must be in [1, %d], got %r"
-                          % (MAX_QUAD_POINTS - 2, config.k))
+    if not 1 <= config.k <= MAX_DEGREE:
+        raise ConfigError("element degree k must be in [1, %d], got %r" % (MAX_DEGREE, config.k))
     if config.tau is not None and not (math.isfinite(config.tau) and config.tau > 0.0):
         raise ConfigError("tau must be positive and finite, got %r" % (config.tau,))
     if not (math.isfinite(config.t_final) and config.t_final >= 0.0):

@@ -12,30 +12,6 @@ class PreconditionError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class InvalidResolution(PreconditionError):
-    """Mesh resolution must be a positive integer."""
-
-
-class OrderOutOfRange(PreconditionError):
-    """Fractional order outside the supported range (0, 1]."""
-
-
-class MisalignedDiscontinuity(PreconditionError):
-    """Problem data jumps along a line that is not a mesh line."""
-
-    def __init__(self, coordinate, n):
-        self.coordinate = coordinate
-        self.n = n
-        super().__init__(
-            "discontinuity line at coordinate %r is not a mesh line for N=%d"
-            % (coordinate, n)
-        )
-
-
-class MeshMismatch(PreconditionError):
-    """Fields living on different meshes or bases were combined."""
-
-
 class SolverFailure(RuntimeError):
     """The step system overflows or cannot be inverted, or a solve misses its residual bound."""
 
@@ -56,7 +32,7 @@ def _fractional_order(alpha):
     # alpha = 1 is admitted as the degenerate classical backward-Euler case,
     # used to cross-check the stepping loop against an independent code.
     if not 0.0 < alpha <= 1.0:
-        raise OrderOutOfRange("fractional order must lie in (0, 1], got %r" % (alpha,))
+        raise PreconditionError("fractional order must lie in (0, 1], got %r" % (alpha,))
     return alpha
 
 

@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
-from typing import Optional
 
 import numpy as np
 
@@ -68,20 +67,23 @@ SOLVE_RTOL = 1e-10
 class DGField:
     """A discrete field: modal coefficients on every cell.
 
-    The L2 norm over the square equals the Euclidean norm of `coeffs`.
+    The coefficients' shape (N, N, k + 1, k + 1) fixes the mesh and the
+    basis.  The L2 norm over the square equals the Euclidean norm of `coeffs`.
     """
 
-    mesh: Mesh2D
-    basis: Basis
     coeffs: np.ndarray
+    mesh: Mesh2D = field(init=False)
+    basis: Basis = field(init=False)
 
     def __post_init__(self):
-        m = self.basis.nmodes
-        expected = (self.mesh.n, self.mesh.n, m, m)
-        if self.coeffs.shape != expected:
+        shape = self.coeffs.shape
+        if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3]:
             raise PreconditionError(
-                "coefficient tensor has shape %r, expected %r" % (self.coeffs.shape, expected)
+                "coefficient tensor has shape %r, expected (N, N, k + 1, k + 1)" % (shape,)
             )
+        # build_mesh and Basis reject N < 1 and k < 1
+        object.__setattr__(self, "mesh", build_mesh(shape[0]))
+        object.__setattr__(self, "basis", Basis(shape[2] - 1))
 
 
 def as_vector(coeffs):
@@ -420,7 +422,7 @@ def build_system(mesh, basis, d0, theta):
 def project_initial(g0, mesh, basis, discontinuities=()):
     """Cell-wise L2 projection of the initial data onto the discrete space."""
     require_mesh_aligned(discontinuities, mesh)
-    return DGField(mesh, basis, modal_project(g0, mesh, basis, basis.degree + 2))
+    return DGField(modal_project(g0, mesh, basis))
 
 
 @dataclass(eq=False)
@@ -436,9 +438,7 @@ class Trajectory:
     mesh: Mesh2D
     basis: Basis
     tau: float
-    times: np.ndarray
     levels: np.ndarray = field(repr=False)
-    system: Optional[LDGSystem]
 
     @cached_property
     def fields(self):
@@ -449,7 +449,7 @@ class Trajectory:
         return self._field(self.levels[-1])
 
     def _field(self, level):
-        return DGField(self.mesh, self.basis, as_coeffs(level, self.mesh.n, self.basis.nmodes))
+        return DGField(as_coeffs(level, self.mesh.n, self.basis.nmodes))
 
 
 def _integral_steps(t_final, tau):
@@ -638,12 +638,8 @@ def run(problem, n, k, tau, theta=1.0):
     g0_field = project_initial(
         problem.g0, mesh, basis, discontinuities=problem.discontinuities
     )
-    times = tau * np.arange(steps + 1)
     if steps == 0:
-        return Trajectory(
-            mesh=mesh, basis=basis, tau=tau, times=times,
-            levels=as_vector(g0_field.coeffs)[None], system=None,
-        )
+        return Trajectory(mesh=mesh, basis=basis, tau=tau, levels=as_vector(g0_field.coeffs)[None])
     weights = cq_weights(problem.alpha, tau, steps)
     system = build_system(mesh, basis, weights.d[0], theta)
     source = None
@@ -651,14 +647,13 @@ def run(problem, n, k, tau, theta=1.0):
         # one row per source term: its factor's projection, projected once,
         # and one column of amplitudes, a constant one broadcast
         factors = np.stack([as_vector(p) for p in load_vector(problem, mesh, basis)])
+        times = tau * np.arange(steps + 1)
         amplitudes = np.empty((steps + 1, len(terms)))
         for column, (a, _) in zip(amplitudes.T, terms):
             column[...] = a(times)
         source = (amplitudes, factors)
     levels = march(system, weights, as_vector(g0_field.coeffs), source)
-    return Trajectory(
-        mesh=mesh, basis=basis, tau=tau, times=times, levels=levels, system=system,
-    )
+    return Trajectory(mesh=mesh, basis=basis, tau=tau, levels=levels)
 
 
 def field_to_csv(fld):

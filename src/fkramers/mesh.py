@@ -6,6 +6,10 @@ factor sqrt(2/h) it stays orthonormal in L2 of the cell, so element mass
 matrices are exactly the identity and the global L2 norm of a discrete field
 is the Euclidean norm of its coefficient vector.
 
+Data enter the discrete space through one rule, `modal_project`: the
+cell-wise L2 projection with k + 2 Gauss points per direction, so the
+largest degree is `MAX_DEGREE`.
+
 All types here are immutable after construction and safe to share read-only
 between concurrent runs.
 """
@@ -18,10 +22,13 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidResolution, PreconditionError
+from .errors import PreconditionError
 
 #: Largest supported Gauss-Legendre point count.
 MAX_QUAD_POINTS = 32
+
+#: Largest element degree whose projection rule (degree + 2 points) exists.
+MAX_DEGREE = MAX_QUAD_POINTS - 2
 
 
 def _legendre_raw(max_degree, xi):
@@ -76,7 +83,7 @@ class Mesh2D:
 def build_mesh(n):
     """Uniform mesh with n cells per direction; h = 1/n."""
     if not isinstance(n, Integral) or n < 1:
-        raise InvalidResolution("mesh resolution must be a positive integer, got %r" % (n,))
+        raise PreconditionError("mesh resolution must be a positive integer, got %r" % (n,))
     n = int(n)
     nodes = np.linspace(0.0, 1.0, n + 1)
     return Mesh2D(n=n, h=1.0 / n, nodes=nodes)
@@ -130,14 +137,16 @@ def _weighted_table(degree, q):
     return tab
 
 
-def modal_project(fn, mesh, basis, q):
+def modal_project(fn, mesh, basis):
     """Cell-wise L2 projection of fn(x, v) onto the modal tensor basis.
+
+    Integrates with degree + 2 Gauss points per direction.
 
     Returns coefficients with axes (x-cell, v-cell, x-mode, v-mode), as a
     transposed view of an array stored in the order (x-cell, x-mode, v-cell,
     v-mode).  fn must broadcast over numpy arrays.
     """
-    rule = gauss_rule(q)
+    rule = gauss_rule(basis.degree + 2)
     pts = cell_points(mesh, rule.nodes).ravel()
     vals = np.asarray(fn(pts[:, None], pts[None, :]), dtype=float)
     if vals.shape != (pts.size, pts.size):

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MisalignedDiscontinuity, PreconditionError, _fractional_order
+from .errors import PreconditionError, _fractional_order
 from .mesh import modal_project
 
 PROBLEM_IDS = ("ex1a", "ex1b", "ex1c", "ex2")
@@ -132,7 +132,8 @@ def require_mesh_aligned(lines, mesh):
     for coord in lines:
         scaled = float(coord) * mesh.n
         if abs(scaled - round(scaled)) > 1e-12 * max(1.0, mesh.n):
-            raise MisalignedDiscontinuity(coord, mesh.n)
+            raise PreconditionError("discontinuity line at coordinate %r is not a mesh line for N=%d"
+                                    % (coord, mesh.n))
 
 
 def load_vector(problem, mesh, basis):
@@ -147,5 +148,5 @@ def load_vector(problem, mesh, basis):
     m = basis.nmodes
     out = np.empty((len(problem.source_terms), mesh.n, mesh.n, m, m))
     for load, (_, factor) in zip(out, problem.source_terms):
-        load[...] = modal_project(factor, mesh, basis, basis.degree + 2)
+        load[...] = modal_project(factor, mesh, basis)
     return out

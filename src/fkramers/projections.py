@@ -1,13 +1,13 @@
 """1D projections onto polynomial spaces, plus superconvergence checks.
 
-Three 1D projections of a function u onto polynomials of degree k on an
-interval:
+Two one-sided 1D projections of a function u onto polynomials of degree
+k >= 1 on an interval:
 
-* "plain":  residual orthogonal to all polynomials of degree k;
 * "plus":   residual orthogonal to degree k-1, exact at the left endpoint;
 * "minus":  residual orthogonal to degree k-1, exact at the right endpoint.
 
-The error analysis of the scheme is built on their tensor combination
+The L2 projection of data is `mesh.modal_project`.  The error analysis of the
+scheme is built on the tensor combination
 Pi = P^- (x) P^+ (minus in x, plus in v); `lemma_identity_residuals` forms it
 on one cell and evaluates the two exactness identities that make the
 one-sided fluxes superconvergent, for polynomial inputs of total degree k+1.
@@ -28,7 +28,7 @@ from numpy.polynomial import polynomial as npoly
 from .errors import PreconditionError
 from .mesh import gauss_rule, legendre_table
 
-KINDS = ("plain", "plus", "minus")
+KINDS = ("plus", "minus")
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,9 @@ class Projection1D:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PreconditionError("unknown projection kind %r" % (self.kind,))
-        if not isinstance(self.degree, Integral) or self.degree < 0:
-            raise PreconditionError("projection degree must be a nonnegative integer")
-        if self.kind != "plain" and self.degree < 1:
-            raise PreconditionError(
-                "kind %r needs degree >= 1 (no moment conditions remain at degree 0)"
-                % (self.kind,)
-            )
+        if not isinstance(self.degree, Integral) or self.degree < 1:
+            raise PreconditionError("projection degree must be an integer >= 1, got %r"
+                                    % (self.degree,))
         lo, hi = self.interval
         if not hi > lo:
             raise PreconditionError("empty interval %r" % (self.interval,))
@@ -79,12 +75,8 @@ class Projection1D:
         nodes = lo + 0.5 * (hi - lo) * (rule.nodes + 1.0)
         scaled = 0.5 * (hi - lo) * rule.weights
         tab = self.basis_values(nodes)
-        nmom = self.nmodes if self.kind == "plain" else self.degree
-        out = [(nodes, scaled * tab[b]) for b in range(nmom)]
-        if self.kind == "plus":
-            out.append((np.array([lo]), np.array([1.0])))
-        elif self.kind == "minus":
-            out.append((np.array([hi]), np.array([1.0])))
+        out = [(nodes, scaled * tab[b]) for b in range(self.degree)]
+        out.append((np.array([lo if self.kind == "plus" else hi]), np.array([1.0])))
         return out
 
     def condition_matrix(self):

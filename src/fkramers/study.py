@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .cq import cq_weights
-from .errors import MeshMismatch, PreconditionError, _positive_finite
+from .errors import PreconditionError, _positive_finite
 from .ldg import (
     DGField, _integral_steps, _require_run_memory, build_system, march, run,
 )
-from .mesh import Basis, build_mesh, cell_points, gauss_rule, legendre_table, modal_evaluate
+from .mesh import Basis, build_mesh, cell_points, gauss_rule, modal_evaluate
 
 DEFAULT_RESOLUTIONS = (4, 8, 12, 16, 20)
 DEFAULT_INV_TAUS = (10, 20, 40, 80, 160)
@@ -34,22 +34,33 @@ def _require_distinct(resolutions):
         raise PreconditionError("resolutions must be distinct, got %r" % (tuple(resolutions),))
 
 
+def _log_ratio(a, b):
+    """log(a / b) for positive a and b; a difference of logs where a / b over- or underflows."""
+    ratio = a / b
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    return math.log(a) - math.log(b)
+
+
 def rates_from_errors(resolutions, errors):
     """Observed orders: log(E_i / E_{i+1}) / log(r_{i+1} / r_i).
 
-    There must be one error per resolution, the resolutions must be distinct
-    and the errors positive.
+    There must be one error per resolution, the resolutions must be positive,
+    finite and distinct, and the errors positive and finite.
     """
     if len(resolutions) != len(errors):
         raise PreconditionError("each resolution needs one error, got %d resolutions and %d"
                                 " errors" % (len(resolutions), len(errors)))
-    _require_distinct(resolutions)
     res = [float(r) for r in resolutions]
     err = [float(e) for e in errors]
-    if not all(e > 0.0 for e in err):
-        raise PreconditionError("errors must be positive, got %r" % (tuple(errors),))
+    if not all(0.0 < r < math.inf for r in res):
+        raise PreconditionError("resolutions must be positive and finite, got %r"
+                                % (tuple(resolutions),))
+    _require_distinct(resolutions)
+    if not all(0.0 < e < math.inf for e in err):
+        raise PreconditionError("errors must be positive and finite, got %r" % (tuple(errors),))
     return tuple(
-        math.log(err[i] / err[i + 1]) / math.log(res[i + 1] / res[i])
+        _log_ratio(err[i], err[i + 1]) / _log_ratio(res[i + 1], res[i])
         for i in range(len(err) - 1)
     )
 
@@ -69,11 +80,7 @@ class ConvergenceTable:
     rates: tuple = field(init=False)
 
     def __post_init__(self):
-        if not all(np.isfinite(self.errors)):
-            raise PreconditionError("errors must be finite, got %r" % (tuple(self.errors),))
         object.__setattr__(self, "rates", rates_from_errors(self.resolutions, self.errors))
-        if not all(np.isfinite(self.rates)):
-            raise PreconditionError("rates must be finite, got %r" % (self.rates,))
 
     def to_csv(self):
         lines = ["resolution,error,rate"]
@@ -98,8 +105,8 @@ def l2_error(field, other, t=None):
     as other(x, v) or other(x, v, t) when t is given.
     """
     if isinstance(other, DGField):
-        if not (field.mesh.n == other.mesh.n and field.basis.degree == other.basis.degree):
-            raise MeshMismatch("fields live on different discretizations")
+        if field.coeffs.shape != other.coeffs.shape:
+            raise PreconditionError("fields live on different discretizations")
         return float(np.linalg.norm(field.coeffs - other.coeffs))
     rule = gauss_rule(field.basis.degree + 3)
     mesh = field.mesh
@@ -135,26 +142,17 @@ def nodal_values(field):
     degree 1 they keep the trace of the last cell in ascending scan order,
     and the boundary is left alone.
     """
-    mesh, basis = field.mesh, field.basis
-    k = basis.degree
-    n = mesh.n
-    tab = legendre_table(k, np.linspace(-1.0, 1.0, k + 1))
-    vals = np.einsum("ijab,ap,bq->ipjq", field.coeffs, tab, tab) * (2.0 / mesh.h)
-    g = k * n + 1
+    k, n = field.basis.degree, field.mesh.n
+    vals = modal_evaluate(field.coeffs, field.mesh, field.basis, np.linspace(-1.0, 1.0, k + 1))
     if k > 1:
-        out = np.zeros((g, g))
-        for i in range(n):
-            for j in range(n):
-                out[k * i:k * i + k + 1, k * j:k * j + k + 1] = vals[i, :, j, :]
-        return out
-    acc = np.zeros((g, g))
-    cnt = np.zeros((g, g))
-    for i in range(n):
-        for j in range(n):
-            acc[k * i:k * i + k + 1, k * j:k * j + k + 1] += vals[i, :, j, :]
-            cnt[k * i:k * i + k + 1, k * j:k * j + k + 1] += 1.0
-    out = acc / cnt
-    out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
+        # global node g lies in cell min(g // k, n - 1), the last cell holding it
+        cell = np.minimum(np.arange(k * n + 1) // k, n - 1)
+        node = np.arange(k * n + 1) - k * cell
+        return vals[cell[:, None], node[:, None], cell[None, :], node[None, :]]
+    out = np.zeros((n + 1, n + 1))
+    # the four cells around an interior node, added to zero in scan order
+    out[1:-1, 1:-1] = (0.0 + vals[:-1, 1, :-1, 1] + vals[:-1, 1, 1:, 0]
+                       + vals[1:, 0, :-1, 1] + vals[1:, 0, 1:, 0]) / 4.0
     return out
 
 
@@ -213,7 +211,7 @@ def temporal_study(problem, n=16, k=1, inv_taus=DEFAULT_INV_TAUS, theta=1.0):
         final = run(problem, n, k, problem.t_final / inv, theta).final
         # copied in the same memory order, so the sums in l2_error do not
         # change, and unbound, so the levels of one run at a time are alive
-        finals[inv] = DGField(final.mesh, final.basis, final.coeffs.copy(order="K"))
+        finals[inv] = DGField(final.coeffs.copy(order="K"))
         del final
     errors = tuple(
         l2_error(finals[inv], finals[2 * inv]) for inv in inv_taus
@@ -317,7 +315,7 @@ def regularity_diagnostic(problem, n=16, k=1, tau=0.01, theta=1.0):
     levels = traj.levels
     # axis=0 sums each pair's squares exactly as a row-wise norm would
     quots = np.array([np.linalg.norm(b - a, axis=0) for a, b in zip(levels, levels[1:])]) / traj.tau
-    times = traj.times[1:]
+    times = traj.tau * np.arange(1, steps + 1)
     lo, hi = 2, steps // 2  # 1-based step indices of the fit window
     window_q = quots[lo - 1:hi]
     window_t = times[lo - 1:hi]

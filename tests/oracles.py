@@ -14,7 +14,8 @@ discrete gradients that hand-derived matrices are checked against, and the
 block sweep with a sparse LU of the x-cell block and a cell-by-cell trace
 recurrence that the package used before it applied a dense inverse and a
 doubling scan.  Last, the memory estimate of a run as one formula, as the
-package wrote it before it named each array.
+package wrote it before it named each array, and the nodal values of a field
+filled cell by cell, as the package did before it filled them by index.
 """
 
 import math
@@ -28,7 +29,7 @@ from fkramers.errors import PreconditionError
 from fkramers.ldg import (
     HISTORY_BLOCK, HISTORY_WINDOW, _group_rows, _one_d_operators, _reference_blocks,
 )
-from fkramers.mesh import modal_project
+from fkramers.mesh import legendre_table, modal_project
 from fkramers.problems import require_mesh_aligned
 
 
@@ -326,7 +327,7 @@ def load_at(problem, t, mesh, basis):
     require_mesh_aligned(problem.discontinuities, mesh)
     if problem.f is None:
         return np.zeros((mesh.n, mesh.n, basis.nmodes, basis.nmodes))
-    return modal_project(lambda x, v: problem.f(x, v, t), mesh, basis, basis.degree + 2)
+    return modal_project(lambda x, v: problem.f(x, v, t), mesh, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -473,3 +474,37 @@ def run_doubles(n, basis, steps, terms=0):
         panels = math.ceil(math.log2(steps) + math.log2(SOE_CUTOFF / (HISTORY_WINDOW - 1)))
         doubles += (SOE_JACOBI_POINTS + SOE_PANEL_POINTS * panels) * block ** 2
     return doubles
+
+
+# ---------------------------------------------------------------------------
+# the nodal values cell by cell
+# ---------------------------------------------------------------------------
+
+def loop_nodal_values(field):
+    """`study.nodal_values` by a loop over the cells in ascending scan order.
+
+    Each cell writes its (k + 1) x (k + 1) nodal values into the global grid;
+    above degree 1 a later cell overwrites the shared nodes, at degree 1 the
+    traces are summed and divided by their count, and the boundary is zeroed.
+    """
+    mesh, basis = field.mesh, field.basis
+    k = basis.degree
+    n = mesh.n
+    tab = legendre_table(k, np.linspace(-1.0, 1.0, k + 1))
+    vals = np.einsum("ijab,ap,bq->ipjq", field.coeffs, tab, tab) * (2.0 / mesh.h)
+    g = k * n + 1
+    if k > 1:
+        out = np.zeros((g, g))
+        for i in range(n):
+            for j in range(n):
+                out[k * i:k * i + k + 1, k * j:k * j + k + 1] = vals[i, :, j, :]
+        return out
+    acc = np.zeros((g, g))
+    cnt = np.zeros((g, g))
+    for i in range(n):
+        for j in range(n):
+            acc[k * i:k * i + k + 1, k * j:k * j + k + 1] += vals[i, :, j, :]
+            cnt[k * i:k * i + k + 1, k * j:k * j + k + 1] += 1.0
+    out = acc / cnt
+    out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
+    return out

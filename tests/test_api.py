@@ -1,5 +1,8 @@
 """The public names of the package."""
 
+import dataclasses
+import inspect
+
 import fkramers
 
 #: Names the package no longer provides; nothing in it calls them.
@@ -12,7 +15,29 @@ REMOVED = (
     "TENSOR_KINDS",
     "example1",
     "example2",
+    "InvalidResolution",
+    "OrderOutOfRange",
+    "MisalignedDiscontinuity",
+    "MeshMismatch",
 )
+
+#: Values a caller can set through the exported names, counted by
+#: `settable_values`; a change to the API changes it, and says why.
+SETTABLE_VALUES = 121
+
+
+def settable_values(obj):
+    """Init fields of a dataclass, plus the parameters of a class's public
+    functions less self, or the parameters of any other callable."""
+    if not inspect.isclass(obj):
+        return len(inspect.signature(obj).parameters) if callable(obj) else 0
+    count = 0
+    if dataclasses.is_dataclass(obj):
+        count += sum(f.init for f in dataclasses.fields(obj))
+    for name, member in vars(obj).items():
+        if not name.startswith("_") and inspect.isfunction(member):
+            count += len(inspect.signature(member).parameters) - 1
+    return count
 
 
 def test_every_exported_name_resolves():
@@ -26,3 +51,12 @@ def test_no_duplicate_exports():
 
 def test_removed_names_not_exported():
     assert [name for name in REMOVED if name in fkramers.__all__] == []
+
+
+def test_settable_value_count():
+    exported = (getattr(fkramers, name) for name in fkramers.__all__)
+    count = sum(
+        settable_values(obj) for obj in exported
+        if not (inspect.isclass(obj) and issubclass(obj, BaseException))
+    )
+    assert count == SETTABLE_VALUES

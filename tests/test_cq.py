@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkramers import OrderOutOfRange, PreconditionError, cq_weights
+from fkramers import PreconditionError, cq_weights
 from fkramers.cq import soe_node_count, soe_rule
 from fkramers.ldg import HISTORY_WINDOW
 from oracles import history_combination
@@ -39,7 +39,7 @@ class TestWeights:
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, 2.0])
     def test_order_outside_range_rejected(self, alpha):
-        with pytest.raises(OrderOutOfRange):
+        with pytest.raises(PreconditionError, match="fractional order must lie in"):
             cq_weights(alpha, 0.1, 10)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])

@@ -102,9 +102,9 @@ class TestGradientOperators:
         mesh = build_mesh(3)
         basis = Basis(2)
         d_x, d_v = assemble_gradient(mesh, basis)
-        g = modal_project(lambda x, v: x * v * (1.0 - v), mesh, basis, 5)
-        gx = modal_project(lambda x, v: v * (1.0 - v) + 0.0 * x, mesh, basis, 5)
-        gv = modal_project(lambda x, v: x * (1.0 - 2.0 * v), mesh, basis, 5)
+        g = modal_project(lambda x, v: x * v * (1.0 - v), mesh, basis)
+        gx = modal_project(lambda x, v: v * (1.0 - v) + 0.0 * x, mesh, basis)
+        gv = modal_project(lambda x, v: x * (1.0 - 2.0 * v), mesh, basis)
         got_x = as_coeffs(d_x @ as_vector(g), mesh.n, basis.nmodes)
         got_v = as_coeffs(d_v @ as_vector(g), mesh.n, basis.nmodes)
         assert np.max(np.abs(got_x - gx)) <= 1e-12
@@ -131,7 +131,7 @@ class TestPenalty:
         mesh = build_mesh(n)
         basis = Basis(1)
         pen = assemble_spatial(mesh, basis, 2.0) - assemble_spatial(mesh, basis, 1.0)
-        g = as_vector(modal_project(lambda x, v: np.ones_like(x) * np.ones_like(v), mesh, basis, 2))
+        g = as_vector(modal_project(lambda x, v: np.ones_like(x) * np.ones_like(v), mesh, basis))
         assert float(g @ (pen @ g)) == pytest.approx(n, rel=1e-13)
 
     @pytest.mark.parametrize("theta", [0.0, -1.0, math.inf])
@@ -584,11 +584,10 @@ class TestHistoryEngine:
             load_fn = lambda n: None
         else:
             def load_fn(n):
-                return as_vector(load_at(problem, traj.times[n], mesh, basis))
+                return as_vector(load_at(problem, n * tau, mesh, basis))
 
-        ref = reference_march(
-            traj.system, weights, as_vector(traj.fields[0].coeffs), load_fn, 2000
-        )
+        system = build_system(mesh, basis, weights.d[0], 1.0)
+        ref = reference_march(system, weights, as_vector(traj.fields[0].coeffs), load_fn, 2000)
         got = np.array([as_vector(fld.coeffs) for fld in traj.fields])
         assert_levels_close(got, ref, 1e-10)
 
@@ -706,7 +705,8 @@ class TestRunArrays:
         # inside the window and past it, each with and without a source
         problem = get_problem(name, 0.5)
         traj = run(problem, 4, 1, 1.0 / steps)
-        system, ndof = traj.system, traj.levels.shape[1]
+        system = build_system(traj.mesh, traj.basis, cq_weights(0.5, 1.0 / steps, steps).d[0], 1.0)
+        ndof = traj.levels.shape[1]
         arrays = _run_arrays(4, traj.basis, steps, len(problem.source_terms))
         assert arrays["levels"] == traj.levels.size
         assert arrays["weights"] == 2 * (steps + 1)
@@ -747,8 +747,7 @@ class TestRun:
         )
         traj = run(problem, 4, 1, 0.1)
         assert len(traj.fields) == 1
-        assert traj.system is None
-        assert traj.times.shape == (1,)
+        assert traj.levels.shape == (1, 4 * 4 * 2 * 2)
         assert traj.final is traj.fields[0]
 
     def test_non_integral_horizon_rejected(self):
@@ -783,9 +782,12 @@ class TestRun:
     def test_trajectory_layout(self):
         traj = run(get_problem("ex1a", 0.5), 2, 1, 0.25)
         assert len(traj.fields) == 5
-        assert np.allclose(traj.times, 0.25 * np.arange(5))
         assert traj.final.coeffs.shape == (2, 2, 2, 2)
         assert traj.tau == 0.25
+        # the fields' mesh and basis, read off the coefficients, are the run's
+        for mesh, basis in ((traj.mesh, traj.basis), (traj.final.mesh, traj.final.basis)):
+            assert (mesh.n, mesh.h, basis.degree) == (2, build_mesh(2).h, 1)
+            assert np.array_equal(mesh.nodes, build_mesh(2).nodes)
 
     def test_peak_memory_close_to_levels(self):
         # every field views a row of the array march returns, so the levels
@@ -819,9 +821,10 @@ class TestRun:
         assert sorted(calls) == ["constant", "ramp"]
         # the constant's scalar is broadcast over the steps: the loads match
         # the source projected step by step
+        weights = cq_weights(0.5, 1.0 / steps, steps)
         ref = reference_march(
-            traj.system, cq_weights(0.5, 1.0 / steps, steps), traj.levels[0],
-            lambda m: as_vector(load_at(problem, traj.times[m], traj.mesh, traj.basis)), steps,
+            build_system(traj.mesh, traj.basis, weights.d[0], 1.0), weights, traj.levels[0],
+            lambda m: as_vector(load_at(problem, m * (1.0 / steps), traj.mesh, traj.basis)), steps,
         )
         assert_levels_close(traj.levels, ref, 1e-12)
 
@@ -859,14 +862,24 @@ class TestFieldHelpers:
         assert np.array_equal(as_coeffs(as_vector(coeffs), n, nmodes), coeffs)
 
     def test_shape_validation(self):
-        with pytest.raises(PreconditionError):
-            DGField(build_mesh(2), Basis(1), np.zeros((2, 2, 3, 3)))
+        for shape in ((2, 2, 3), (2, 3, 2, 2), (2, 2, 2, 3), (2, 2, 1, 1), (0, 0, 2, 2)):
+            with pytest.raises(PreconditionError):
+                DGField(np.zeros(shape))
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (16, 1), (64, 2), (20, 30)])
+    def test_mesh_and_basis_from_shape(self, n, k):
+        fld = DGField(np.zeros((n, n, k + 1, k + 1)))
+        mesh = build_mesh(n)
+        assert (fld.mesh.n, fld.mesh.h, fld.basis) == (mesh.n, mesh.h, Basis(k))
+        assert np.array_equal(fld.mesh.nodes, mesh.nodes)
+        with pytest.raises(TypeError):
+            DGField(mesh, Basis(k), fld.coeffs)
 
     def test_l2_norm_matches_quadrature(self):
         mesh = build_mesh(2)
         basis = Basis(2)
         rng = np.random.default_rng(5)
-        fld = DGField(mesh, basis, rng.standard_normal((2, 2, 3, 3)))
+        fld = DGField(rng.standard_normal((2, 2, 3, 3)))
         rule = gauss_rule(basis.degree + 3)
         vals = modal_evaluate(fld.coeffs, mesh, basis, rule.nodes)
         w = 0.5 * mesh.h * rule.weights
@@ -874,12 +887,12 @@ class TestFieldHelpers:
         assert float(np.linalg.norm(fld.coeffs)) == pytest.approx(quad, rel=1e-13)
 
     def test_zeros_layout(self):
-        fld = DGField(build_mesh(3), Basis(2), np.zeros((3, 3, 3, 3)))
+        fld = DGField(np.zeros((3, 3, 3, 3)))
         assert fld.coeffs.shape == (3, 3, 3, 3)
         assert np.linalg.norm(fld.coeffs) == 0.0
 
     def test_field_csv_layout(self):
-        fld = DGField(build_mesh(2), Basis(1), np.zeros((2, 2, 2, 2)))
+        fld = DGField(np.zeros((2, 2, 2, 2)))
         text = field_to_csv(fld)
         lines = text.strip().split("\n")
         assert lines[0] == "i,j,mode_a,mode_b,coefficient"

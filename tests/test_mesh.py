@@ -9,7 +9,6 @@ import pytest
 
 from fkramers import (
     Basis,
-    InvalidResolution,
     PreconditionError,
     build_mesh,
     gauss_rule,
@@ -44,7 +43,7 @@ class TestBuildMesh:
         assert build_mesh(16).h == pytest.approx(1.0 / 16, abs=0.0)
 
     def test_zero_cells_rejected(self):
-        with pytest.raises(InvalidResolution):
+        with pytest.raises(PreconditionError, match="mesh resolution must be a positive integer"):
             build_mesh(0)
 
     def test_partition_of_unity(self):
@@ -177,7 +176,7 @@ class TestModalProject:
         # Euclidean norm of its coefficients
         mesh = build_mesh(4)
         basis = Basis(2)
-        coeffs = modal_project(lambda x, v: np.sin(np.pi * x) * np.sin(np.pi * v), mesh, basis, 6)
+        coeffs = modal_project(lambda x, v: np.sin(np.pi * x) * np.sin(np.pi * v), mesh, basis)
         # || sin sin ||_{L2} = 1/2 and the degree-2 projection captures it closely
         assert float(np.linalg.norm(coeffs)) == pytest.approx(0.5, abs=2e-4)
 
@@ -185,7 +184,7 @@ class TestModalProject:
         mesh = build_mesh(3)
         basis = Basis(2)
         fn = lambda x, v: (1.0 + 2.0 * x - v) * (x - 0.25 * v)
-        coeffs = modal_project(fn, mesh, basis, 4)
+        coeffs = modal_project(fn, mesh, basis)
         rule = gauss_rule(3)
         from fkramers.mesh import modal_evaluate
 
@@ -198,12 +197,14 @@ class TestModalProject:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 4, 20])
     def test_matches_einsum_contraction(self, n, k, dq):
-        # the two matmuls against the three-operand einsum they replaced
+        # the two matmuls against the three-operand einsum they replaced, on
+        # a rule of k + dq points: the projection's own rule of k + 2 points
+        # agrees to rounding, and the quadrature error of the others shows
         mesh = build_mesh(n)
         basis = Basis(k)
         q = k + dq
         fn = lambda x, v: np.exp(x - 2.0 * v) * np.cos(3.0 * x * v) + (x > 0.5)
-        got = modal_project(fn, mesh, basis, q)
+        got = modal_project(fn, mesh, basis)
 
         rule = gauss_rule(q)
         pts = cell_points(mesh, rule.nodes).ravel()
@@ -211,13 +212,17 @@ class TestModalProject:
         tab = legendre_table(k, rule.nodes) * rule.weights
         ref = 0.5 * mesh.h * np.einsum("ipjq,ap,bq->ijab", grid, tab, tab)
         assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        if dq == 2:
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        else:
+            assert np.max(np.abs(got - ref)) > 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dq", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cached_table_matches_uncached_product(self, k, dq):
-        # the shared weighted table, and a projection through it, against the
-        # table built afresh from the basis and the rule
+        # the shared weighted table against the table built afresh from the
+        # basis and the rule, and, on the projection's rule of k + 2 points,
+        # a projection through it against one through the fresh table
         mesh = build_mesh(4)
         basis = Basis(k)
         q = k + dq
@@ -228,6 +233,8 @@ class TestModalProject:
         assert table.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
+        if dq != 2:
+            return
 
         fn = lambda x, v: np.exp(x - 2.0 * v) * np.cos(3.0 * x * v)
         pts = cell_points(mesh, rule.nodes).ravel()
@@ -236,4 +243,4 @@ class TestModalProject:
         ref = half.reshape(-1, q) @ fresh.T
         ref *= 0.5 * mesh.h
         ref = ref.reshape(mesh.n, k + 1, mesh.n, k + 1).transpose(0, 2, 1, 3)
-        assert modal_project(fn, mesh, basis, q).tobytes() == ref.tobytes()
+        assert modal_project(fn, mesh, basis).tobytes() == ref.tobytes()

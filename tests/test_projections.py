@@ -1,6 +1,6 @@
 """One-sided 1D projections and the face identities of their tensor product.
 
-The oracle here solves the defining moment/endpoint conditions in the plain
+The oracle here solves the defining moment/endpoint conditions in the
 monomial basis with exact monomial integrals, independently of the modal
 Legendre machinery under test.
 """
@@ -28,21 +28,19 @@ def oracle_projection(kind, u_coef, interval, k):
     lo, hi = interval
     a = np.zeros((k + 1, k + 1))
     b = np.zeros(k + 1)
-    nmom = k + 1 if kind == "plain" else k
-    for r in range(nmom):
+    for r in range(k):
         for c in range(k + 1):
             a[r, c] = monomial_moment(lo, hi, r + c)
         integrated = npoly.polyint(npoly.polymul(u_coef, np.eye(1, r + 1, r)[0]))
         b[r] = npoly.polyval(hi, integrated) - npoly.polyval(lo, integrated)
-    if kind != "plain":
-        point = lo if kind == "plus" else hi
-        a[k] = point ** np.arange(k + 1)
-        b[k] = npoly.polyval(point, u_coef)
+    point = lo if kind == "plus" else hi
+    a[k] = point ** np.arange(k + 1)
+    b[k] = npoly.polyval(point, u_coef)
     return np.linalg.solve(a, b)
 
 
 class TestProjection1D:
-    @pytest.mark.parametrize("kind", ["plain", "plus", "minus"])
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_reproduces_polynomials(self, kind, k):
         rng = np.random.default_rng(10 * k + len(kind))
@@ -54,7 +52,7 @@ class TestProjection1D:
 
     @settings(deadline=None)
     @given(
-        st.sampled_from(["plain", "plus", "minus"]),
+        st.sampled_from(["plus", "minus"]),
         st.integers(1, 4),
         st.floats(-2.0, 2.0),
         st.floats(0.01, 4.0),
@@ -74,21 +72,19 @@ class TestProjection1D:
         got = proj.evaluate(proj.apply(exact), sample)
         assert np.max(np.abs(got - exact(sample))) <= 1e-12
 
-        # for degree k + 2, the one-sided kinds keep their endpoint value ...
+        # for degree k + 2, the endpoint value is kept ...
         u = poly(raw[:k + 3])
         coeffs = proj.apply(u)
-        if kind != "plain":
-            point = lo if kind == "plus" else hi
-            assert abs(proj.evaluate(coeffs, np.array([point]))[0] - u(point)) <= 1e-12
-        # ... and the residual is orthogonal to degree k - 1, or k for "plain"
+        point = lo if kind == "plus" else hi
+        assert abs(proj.evaluate(coeffs, np.array([point]))[0] - u(point)) <= 1e-12
+        # ... and the residual is orthogonal to degree k - 1
         nodes, weights = np.polynomial.legendre.leggauss(k + 6)
         x = lo + 0.5 * width * (nodes + 1.0)
         resid = 0.5 * width * weights * (u(x) - proj.evaluate(coeffs, x))
-        nmom = k + 1 if kind == "plain" else k
-        moments = [resid @ ((x - lo) / width) ** j for j in range(nmom)]
+        moments = [resid @ ((x - lo) / width) ** j for j in range(k)]
         assert np.max(np.abs(moments)) <= 1e-12 * max(1.0, width)
 
-    @pytest.mark.parametrize("kind", ["plain", "plus", "minus"])
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_monomial_oracle(self, kind, k):
         # project x**(k+1), the lowest degree where the kinds differ
@@ -111,23 +107,20 @@ class TestProjection1D:
         coeffs = proj.apply(np.sin)
         assert proj.evaluate(coeffs, np.array([0.9]))[0] == pytest.approx(np.sin(0.9), abs=1e-13)
 
-    def test_plain_condition_matrix_is_identity(self):
-        # moments against the orthonormal modal basis are the coefficients
-        proj = Projection1D("plain", 3, (0.2, 0.7))
-        assert np.max(np.abs(proj.condition_matrix() - np.eye(4))) <= 1e-13
-
     @pytest.mark.parametrize("kind", ["plus", "minus"])
     def test_one_sided_needs_degree_one(self, kind):
         with pytest.raises(PreconditionError):
             Projection1D(kind, 0, (0.0, 1.0))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(PreconditionError):
-            Projection1D("up", 1, (0.0, 1.0))
+        # the L2 projection is modal_project's, not a kind here
+        for kind in ("up", "plain"):
+            with pytest.raises(PreconditionError, match="unknown projection kind"):
+                Projection1D(kind, 1, (0.0, 1.0))
 
     def test_empty_interval_rejected(self):
         with pytest.raises(PreconditionError):
-            Projection1D("plain", 1, (0.5, 0.5))
+            Projection1D("plus", 1, (0.5, 0.5))
 
     @pytest.mark.parametrize("interval", [
         (0.0, np.inf), (-np.inf, 0.0), (0.0, 1e-320), (-1e308, 1e308),

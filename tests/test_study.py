@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,6 @@ from fkramers import (
     Basis,
     ConvergenceTable,
     DGField,
-    MeshMismatch,
     PreconditionError,
     ProblemSpec,
     build_mesh,
@@ -29,16 +29,15 @@ from fkramers import (
 )
 from fkramers.ldg import as_vector
 from fkramers.study import trajectory_growth
+from oracles import loop_nodal_values
 
 
-def projected(fn, n, k, q=None):
-    mesh = build_mesh(n)
-    basis = Basis(k)
-    return DGField(mesh, basis, modal_project(fn, mesh, basis, q or k + 3))
+def projected(fn, n, k):
+    return DGField(modal_project(fn, build_mesh(n), Basis(k)))
 
 
 def zero_field(n, k):
-    return DGField(build_mesh(n), Basis(k), np.zeros((n, n, k + 1, k + 1)))
+    return DGField(np.zeros((n, n, k + 1, k + 1)))
 
 
 class TestRates:
@@ -55,6 +54,12 @@ class TestRates:
         ((10, 20, 10), (4.0, 2.0, 1.0)),
         ((10, 20), (4.0, 0.0)),
         ((10, 20), (0.0, 1.0)),
+        ((0, 4), (1.0, 0.5)),
+        ((-4, 8), (1.0, 0.5)),
+        ((4.0, math.inf), (1.0, 0.5)),
+        ((4, math.nan), (1.0, 0.5)),
+        ((10, 20), (math.inf, 1.0)),
+        ((10, 20), (1.0, math.inf)),
     ])
     def test_degenerate_input_rejected(self, resolutions, errors):
         with pytest.raises(PreconditionError):
@@ -69,6 +74,13 @@ class TestRates:
         message = "got %d resolutions and %d errors" % (len(resolutions), len(errors))
         with pytest.raises(PreconditionError, match=message):
             rates_from_errors(resolutions, errors)
+
+    @pytest.mark.parametrize("errors", [(1e-320, 1e300), (1e300, 1e-320)])
+    def test_extreme_error_ratio_gives_finite_rate(self, errors):
+        # the ratio of the errors under- or overflows, their logs do not
+        expected = mpmath.log(mpmath.mpf(errors[0]) / mpmath.mpf(errors[1])) / mpmath.log(2)
+        (rate,) = rates_from_errors((4, 8), errors)
+        assert rate == pytest.approx(float(expected), rel=1e-14)
 
     def test_reproduces_tabulated_rate(self):
         # rounded stored errors reproduce the tabulated rate to table precision
@@ -93,12 +105,13 @@ class TestL2Error:
         assert l2_error(zero, fn, t=2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_mismatched_fields_rejected(self):
-        with pytest.raises(MeshMismatch):
-            l2_error(zero_field(2, 1), zero_field(3, 1))
+        for other in (zero_field(3, 1), zero_field(2, 2)):
+            with pytest.raises(PreconditionError, match="different discretizations"):
+                l2_error(zero_field(2, 1), other)
 
     def test_field_distance_is_exact(self):
         a = projected(lambda x, v: x + v, 2, 1)
-        b = DGField(a.mesh, a.basis, a.coeffs * 2.0)
+        b = DGField(a.coeffs * 2.0)
         assert l2_error(a, b) == pytest.approx(float(np.linalg.norm(a.coeffs)), rel=1e-14)
 
 
@@ -119,24 +132,31 @@ class TestNodalValues:
     def test_one_sided_takes_ascending_last_trace(self):
         # per-cell constants: the shared interior node keeps the trace of the
         # cell later in the scan (larger x index here)
-        mesh = build_mesh(2)
-        basis = Basis(2)
+        h = 0.5
         coeffs = np.zeros((2, 2, 3, 3))
-        coeffs[0, :, 0, 0] = 1.0 * mesh.h  # left column: constant 1
-        coeffs[1, :, 0, 0] = 3.0 * mesh.h  # right column: constant 3
-        fld = DGField(mesh, basis, coeffs)
+        coeffs[0, :, 0, 0] = 1.0 * h  # left column: constant 1
+        coeffs[1, :, 0, 0] = 3.0 * h  # right column: constant 3
+        fld = DGField(coeffs)
         vals = nodal_values(fld)
         assert vals[1, 2] == pytest.approx(1.0, rel=1e-13)
         assert vals[2, 2] == pytest.approx(3.0, rel=1e-13)  # overwritten by right cell
 
     def test_average_averages_interior_traces(self):
-        mesh = build_mesh(2)
+        h = 0.5
         coeffs = np.zeros((2, 2, 2, 2))
-        coeffs[0, :, 0, 0] = 1.0 * mesh.h
-        coeffs[1, :, 0, 0] = 3.0 * mesh.h
-        fld = DGField(mesh, Basis(1), coeffs)
+        coeffs[0, :, 0, 0] = 1.0 * h
+        coeffs[1, :, 0, 0] = 3.0 * h
+        fld = DGField(coeffs)
         vals = nodal_values(fld)
         assert vals[1, 1] == pytest.approx(2.0, rel=1e-13)  # mean of 1 and 3
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 20])
+    def test_matches_cell_loop_bytes(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        fld = DGField(rng.standard_normal((n, n, k + 1, k + 1)))
+        assert nodal_values(fld).tobytes() == loop_nodal_values(fld).tobytes()
 
 
 class TestNodalReconstructionError:
@@ -145,7 +165,7 @@ class TestNodalReconstructionError:
         # and clamped degree-1 reconstruction reproduces it exactly
         hat = lambda s: 1.0 - np.abs(2.0 * s - 1.0)
         fn = lambda x, v: hat(x) * hat(v)
-        fld = projected(fn, 2, 1, q=3)
+        fld = projected(fn, 2, 1)
         assert nodal_reconstruction_error(fld, fn) <= 1e-13
 
     def test_exact_for_degree_two_field(self):
@@ -359,6 +379,11 @@ class TestRegularity:
         vecs = [as_vector(f.coeffs) for f in traj.fields]
         ref = np.array([np.linalg.norm(b - a, axis=0) for a, b in zip(vecs, vecs[1:])]) / traj.tau
         assert np.array_equal(fit.quotients, ref)
+
+    def test_times_are_the_step_times(self):
+        problem = get_problem("ex1b", 0.5)
+        fit = regularity_diagnostic(problem, n=4, k=1, tau=1.0 / 16)
+        assert fit.times.tobytes() == ((1.0 / 16) * np.arange(17))[1:].tobytes()
 
     def test_peak_memory_close_to_levels(self):
         # the differences are taken pair by pair, so no stacked copy of the
