@@ -81,11 +81,19 @@ class Mesh2D:
 
 
 def build_mesh(n):
-    """Uniform mesh with n cells per direction; h = 1/n."""
+    """Uniform mesh with n cells per direction; h = 1/n.
+
+    Meshes are built once per resolution and shared; their nodes are read-only.
+    """
     if not isinstance(n, Integral) or n < 1:
         raise PreconditionError("mesh resolution must be a positive integer, got %r" % (n,))
-    n = int(n)
+    return _build_mesh(int(n))
+
+
+@lru_cache(maxsize=64)
+def _build_mesh(n):
     nodes = np.linspace(0.0, 1.0, n + 1)
+    nodes.flags.writeable = False
     return Mesh2D(n=n, h=1.0 / n, nodes=nodes)
 
 

@@ -1,19 +1,21 @@
 """1D projections onto polynomial spaces, plus superconvergence checks.
 
 Two one-sided 1D projections of a function u onto polynomials of degree
-k >= 1 on an interval:
+1 <= k <= `MAX_DEGREE` on an interval:
 
 * "plus":   residual orthogonal to degree k-1, exact at the left endpoint;
 * "minus":  residual orthogonal to degree k-1, exact at the right endpoint.
 
-The L2 projection of data is `mesh.modal_project`.  The error analysis of the
-scheme is built on the tensor combination
-Pi = P^- (x) P^+ (minus in x, plus in v); `lemma_identity_residuals` forms it
-on one cell and evaluates the two exactness identities that make the
-one-sided fluxes superconvergent, for polynomial inputs of total degree k+1.
-`Projection1D`'s rows, condition matrix and `apply`, and the identities,
-all integrate with degree + 3 Gauss points per direction.  An interval must
-have finite endpoints and a width whose inverse is finite.
+In the orthonormal Legendre basis of the interval both are in closed form:
+c_a is the L2 moment of u for a < k, and
+c_k = (u(end) - sum_{a<k} c_a phi_a(end)) / phi_k(end).  The moments, and the
+integrals of `lemma_identity_residuals` (whose integrands have degree at most
+2k + 1 per direction), use the degree + 2 point Gauss rule of
+`mesh.modal_project`.  `lemma_identity_residuals` forms the cell
+projection Pi = P^- (x) P^+ (minus in x, plus in v) and evaluates the two
+exactness identities that make the one-sided fluxes superconvergent, for
+polynomial inputs of total degree k+1.  An interval must have finite
+endpoints and a width whose inverse is finite.
 """
 
 from __future__ import annotations
@@ -26,9 +28,16 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PreconditionError
-from .mesh import gauss_rule, legendre_table
+from .mesh import MAX_DEGREE, gauss_rule, legendre_table
 
 KINDS = ("plus", "minus")
+
+
+def _gauss_on(interval, degree):
+    """The degree + 2 point Gauss rule mapped to `interval`: (nodes, weights)."""
+    rule = gauss_rule(degree + 2)
+    lo, hi = interval
+    return lo + 0.5 * (hi - lo) * (rule.nodes + 1.0), 0.5 * (hi - lo) * rule.weights
 
 
 @dataclass(frozen=True)
@@ -42,9 +51,9 @@ class Projection1D:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PreconditionError("unknown projection kind %r" % (self.kind,))
-        if not isinstance(self.degree, Integral) or self.degree < 1:
-            raise PreconditionError("projection degree must be an integer >= 1, got %r"
-                                    % (self.degree,))
+        if not isinstance(self.degree, Integral) or not 1 <= self.degree <= MAX_DEGREE:
+            raise PreconditionError("projection degree must be an integer in [1, MAX_DEGREE = %d],"
+                                    " got %r" % (MAX_DEGREE, self.degree))
         lo, hi = self.interval
         if not hi > lo:
             raise PreconditionError("empty interval %r" % (self.interval,))
@@ -53,48 +62,40 @@ class Projection1D:
             raise PreconditionError("interval %r needs finite endpoints and a width whose inverse"
                                     " is finite" % (self.interval,))
 
-    @property
-    def nmodes(self):
-        return self.degree + 1
-
     def basis_values(self, x):
         """Orthonormal modal basis of the interval evaluated at physical points."""
         lo, hi = self.interval
         xi = 2.0 * (np.asarray(x, dtype=float) - lo) / (hi - lo) - 1.0
         return legendre_table(self.degree, xi) * np.sqrt(2.0 / (hi - lo))
 
-    def rows(self):
-        """The defining functionals as (nodes, weights) pairs.
-
-        Each functional acts as u -> sum(weights * u(nodes)); moment rows use
-        the Gauss rule of degree + 3 points mapped to the interval, endpoint
-        rows a single unit weight.
-        """
-        rule = gauss_rule(self.degree + 3)
-        lo, hi = self.interval
-        nodes = lo + 0.5 * (hi - lo) * (rule.nodes + 1.0)
-        scaled = 0.5 * (hi - lo) * rule.weights
-        tab = self.basis_values(nodes)
-        out = [(nodes, scaled * tab[b]) for b in range(self.degree)]
-        out.append((np.array([lo if self.kind == "plus" else hi]), np.array([1.0])))
-        return out
-
-    def condition_matrix(self):
-        """Rows of `rows()` applied to the modal basis; square and well conditioned."""
-        mat = np.empty((self.nmodes, self.nmodes))
-        for r, (nodes, weights) in enumerate(self.rows()):
-            mat[r] = self.basis_values(nodes) @ weights
-        return mat
+    def _map(self):
+        """(points, matrix) with coefficients = matrix @ u(points): the Gauss
+        nodes of the interval, then the endpoint the projection keeps."""
+        k = self.degree
+        nodes, weights = _gauss_on(self.interval, k)
+        end = self.interval[0] if self.kind == "plus" else self.interval[1]
+        at_end = self.basis_values(end)[:, 0]
+        matrix = np.zeros((k + 1, k + 3))
+        matrix[:k, :-1] = self.basis_values(nodes)[:k] * weights
+        matrix[k] = -(at_end[:k] @ matrix[:k])
+        matrix[k, -1] += 1.0
+        matrix[k] /= at_end[k]
+        return np.append(nodes, end), matrix
 
     def apply(self, u):
         """Modal coefficients of the projection of the callable u."""
-        rhs = np.empty(self.nmodes)
-        for r, (nodes, weights) in enumerate(self.rows()):
-            rhs[r] = float(np.asarray(u(nodes), dtype=float) @ weights)
-        return np.linalg.solve(self.condition_matrix(), rhs)
+        points, matrix = self._map()
+        return matrix @ np.asarray(u(points), dtype=float)
 
     def evaluate(self, coeffs, x):
         return coeffs @ self.basis_values(x)
+
+
+def _tensor_apply(px, pv, u_at):
+    """Coefficients of (px (x) pv) u for a callable u_at(x, v)."""
+    xpts, mat_x = px._map()
+    vpts, mat_v = pv._map()
+    return mat_x @ u_at(xpts[:, None], vpts[None, :]) @ mat_v.T
 
 
 def _poly_total_degree(coef):
@@ -133,29 +134,16 @@ def lemma_identity_residuals(u_coef, nux_coef, nuv_coef, cell, k):
     if max(_poly_total_degree(nux_coef), _poly_total_degree(nuv_coef)) > k:
         raise PreconditionError("test components must have total degree at most k")
     (x_lo, x_hi), (v_lo, v_hi) = cell
-    q = k + 3
 
     px = Projection1D("minus", k, (x_lo, x_hi))
     pv = Projection1D("plus", k, (v_lo, v_hi))
-    mat_x = px.condition_matrix()
-    mat_v = pv.condition_matrix()
-    rows_x = px.rows()
-    rows_v = pv.rows()
 
     def u_at(x, v):
         return _polyval2d(x, v, u_coef)
 
-    cond = np.empty((k + 1, k + 1))
-    for r, (xn, xw) in enumerate(rows_x):
-        for s, (vn, vw) in enumerate(rows_v):
-            cond[r, s] = xw @ u_at(xn[:, None], vn[None, :]) @ vw
-    proj = np.linalg.solve(mat_x, np.linalg.solve(mat_v, cond.T).T)
-
-    rule = gauss_rule(q)
-    xq = x_lo + 0.5 * (x_hi - x_lo) * (rule.nodes + 1.0)
-    vq = v_lo + 0.5 * (v_hi - v_lo) * (rule.nodes + 1.0)
-    wx = 0.5 * (x_hi - x_lo) * rule.weights
-    wv = 0.5 * (v_hi - v_lo) * rule.weights
+    proj = _tensor_apply(px, pv, u_at)
+    xq, wx = _gauss_on((x_lo, x_hi), k)
+    vq, wv = _gauss_on((v_lo, v_hi), k)
     err_grid = u_at(xq[:, None], vq[None, :]) - (
         px.basis_values(xq).T @ proj @ pv.basis_values(vq)
     )

@@ -14,8 +14,10 @@ discrete gradients that hand-derived matrices are checked against, and the
 block sweep with a sparse LU of the x-cell block and a cell-by-cell trace
 recurrence that the package used before it applied a dense inverse and a
 doubling scan.  Last, the memory estimate of a run as one formula, as the
-package wrote it before it named each array, and the nodal values of a field
-filled cell by cell, as the package did before it filled them by index.
+package wrote it before it named each array, the nodal values of a field
+filled cell by cell, as the package did before it filled them by index, and
+the one-sided projections solved from their defining moment and endpoint
+conditions, as the package did before it wrote them in closed form.
 """
 
 import math
@@ -508,3 +510,58 @@ def loop_nodal_values(field):
     out = acc / cnt
     out[0, :] = out[-1, :] = out[:, 0] = out[:, -1] = 0.0
     return out
+
+
+# ---------------------------------------------------------------------------
+# the one-sided projections by solving their defining conditions
+# ---------------------------------------------------------------------------
+
+def _interval_basis(degree, interval, x):
+    lo, hi = interval
+    xi = 2.0 * (np.asarray(x, dtype=float) - lo) / (hi - lo) - 1.0
+    return legendre_table(degree, xi) * np.sqrt(2.0 / (hi - lo))
+
+
+def projection_rows(kind, degree, interval):
+    """The defining functionals of a one-sided projection as (nodes, weights).
+
+    Each acts as u -> sum(weights * u(nodes)): degree moment rows with the
+    degree + 3 point Gauss rule mapped to the interval, then the endpoint
+    row ("plus" left, "minus" right) with a single unit weight.
+    """
+    xi, w = np.polynomial.legendre.leggauss(degree + 3)
+    lo, hi = interval
+    nodes = lo + 0.5 * (hi - lo) * (xi + 1.0)
+    tab = _interval_basis(degree, interval, nodes)
+    rows = [(nodes, 0.5 * (hi - lo) * w * tab[b]) for b in range(degree)]
+    rows.append((np.array([lo if kind == "plus" else hi]), np.array([1.0])))
+    return rows
+
+
+def projection_condition_matrix(kind, degree, interval):
+    """The rows applied to the modal basis of the interval."""
+    return np.array([_interval_basis(degree, interval, nodes) @ weights
+                     for nodes, weights in projection_rows(kind, degree, interval)])
+
+
+def solve_projection(kind, degree, interval, u):
+    """Modal coefficients of the one-sided projection of the callable u."""
+    rhs = [float(np.asarray(u(nodes), dtype=float) @ weights)
+           for nodes, weights in projection_rows(kind, degree, interval)]
+    return np.linalg.solve(projection_condition_matrix(kind, degree, interval), rhs)
+
+
+def solve_tensor_projection(cell, degree, u_at):
+    """Modal coefficients of (P^- (x) P^+) u on cell = ((x_lo, x_hi), (v_lo, v_hi)).
+
+    The tensor rows act on u_at(x, v) cell by cell, then the two condition
+    matrices are solved against them, one per direction.
+    """
+    x_int, v_int = cell
+    cond = np.empty((degree + 1, degree + 1))
+    for r, (xn, xw) in enumerate(projection_rows("minus", degree, x_int)):
+        for s, (vn, vw) in enumerate(projection_rows("plus", degree, v_int)):
+            cond[r, s] = xw @ u_at(xn[:, None], vn[None, :]) @ vw
+    mat_x = projection_condition_matrix("minus", degree, x_int)
+    mat_v = projection_condition_matrix("plus", degree, v_int)
+    return np.linalg.solve(mat_x, np.linalg.solve(mat_v, cond.T).T)

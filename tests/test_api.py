@@ -21,6 +21,11 @@ REMOVED = (
     "MeshMismatch",
 )
 
+#: Members the exported classes no longer have; nothing in the package calls them.
+REMOVED_MEMBERS = {
+    "Projection1D": ("rows", "condition_matrix", "nmodes"),
+}
+
 #: Values a caller can set through the exported names, counted by
 #: `settable_values`; a change to the API changes it, and says why.
 SETTABLE_VALUES = 121
@@ -51,6 +56,12 @@ def test_no_duplicate_exports():
 
 def test_removed_names_not_exported():
     assert [name for name in REMOVED if name in fkramers.__all__] == []
+
+
+def test_removed_members_absent():
+    present = [(cls, name) for cls, names in REMOVED_MEMBERS.items()
+               for name in names if hasattr(getattr(fkramers, cls), name)]
+    assert present == []
 
 
 def test_settable_value_count():

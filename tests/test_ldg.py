@@ -789,6 +789,13 @@ class TestRun:
             assert (mesh.n, mesh.h, basis.degree) == (2, build_mesh(2).h, 1)
             assert np.array_equal(mesh.nodes, build_mesh(2).nodes)
 
+    def test_fields_share_one_read_only_mesh(self):
+        # build_mesh is memoized, so wrapping the levels builds no mesh
+        traj = run(get_problem("ex1b", 0.5), 4, 1, 0.125)
+        assert all(fld.mesh is traj.mesh for fld in traj.fields)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.mesh.nodes[1] = 0.5
+
     def test_peak_memory_close_to_levels(self):
         # every field views a row of the array march returns, so the levels
         # are stored once

@@ -42,6 +42,11 @@ class TestBuildMesh:
     def test_temporal_study_mesh(self):
         assert build_mesh(16).h == pytest.approx(1.0 / 16, abs=0.0)
 
+    def test_built_once_per_resolution(self):
+        mesh = build_mesh(8)
+        assert build_mesh(np.int64(8)) is mesh
+        assert not mesh.nodes.flags.writeable
+
     def test_zero_cells_rejected(self):
         with pytest.raises(PreconditionError, match="mesh resolution must be a positive integer"):
             build_mesh(0)

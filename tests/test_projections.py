@@ -2,7 +2,8 @@
 
 The oracle here solves the defining moment/endpoint conditions in the
 monomial basis with exact monomial integrals, independently of the modal
-Legendre machinery under test.
+Legendre machinery under test.  The closed form is also pinned to the
+solve-based projection it replaced, `oracles.solve_projection`.
 """
 
 import numpy as np
@@ -12,6 +13,12 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from fkramers import PreconditionError, Projection1D, build_mesh, lemma_identity_residuals
+from fkramers.mesh import MAX_DEGREE
+from fkramers.projections import _tensor_apply
+from oracles import solve_projection, solve_tensor_projection
+
+#: Degrees on which the closed form is pinned to the solve-based oracle.
+PINNED_DEGREES = (1, 2, 3, 5, 8)
 
 
 def monomial_moment(lo, hi, m):
@@ -97,6 +104,35 @@ class TestProjection1D:
         got = proj.evaluate(coeffs, sample)
         assert np.max(np.abs(got - npoly.polyval(sample, expected))) <= 1e-11
 
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
+    @pytest.mark.parametrize("k", PINNED_DEGREES)
+    def test_matches_solve_oracle(self, kind, k):
+        # random degree-(k + 1) polynomials on random intervals; the closed
+        # form agreed with the solve to 1.1e-13 relative at worst
+        rng = np.random.default_rng(1000 * k + len(kind))
+        for _ in range(200):
+            lo, width = rng.uniform(-2.0, 2.0), rng.uniform(0.01, 4.0)
+            coef = rng.standard_normal(k + 2)
+
+            def u(x):
+                return npoly.polyval((np.asarray(x) - lo) / width, coef)
+
+            got = Projection1D(kind, k, (lo, lo + width)).apply(u)
+            expected = solve_projection(kind, k, (lo, lo + width), u)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_max_degree_runs(self):
+        proj = Projection1D("plus", MAX_DEGREE, (0.3, 0.9))
+        coeffs = proj.apply(np.sin)
+        assert proj.evaluate(coeffs, np.array([0.3]))[0] == pytest.approx(np.sin(0.3), abs=1e-13)
+        sample = np.linspace(0.3, 0.9, 7)
+        assert np.max(np.abs(proj.evaluate(coeffs, sample) - np.sin(sample))) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
+    def test_degree_above_max_rejected(self, kind):
+        with pytest.raises(PreconditionError, match="MAX_DEGREE"):
+            Projection1D(kind, MAX_DEGREE + 1, (0.0, 1.0))
+
     def test_plus_exact_at_left_endpoint(self):
         proj = Projection1D("plus", 2, (0.3, 0.9))
         coeffs = proj.apply(np.sin)
@@ -176,6 +212,31 @@ class TestLemmaIdentities:
             res1, res2 = lemma_identity_residuals(u, nux, nuv, cell, k)
             assert abs(res1) <= 1e-11
             assert abs(res2) <= 1e-11
+
+    @pytest.mark.parametrize("k", PINNED_DEGREES)
+    def test_tensor_projection_matches_solve_oracle(self, k):
+        # the cell projection the identities use, against the tensor rows and
+        # two solves it replaced, for u of total degree k + 1
+        rng = np.random.default_rng(200 + k)
+        u = self.random_total_degree(rng, k + 1)
+
+        def u_at(x, v):
+            return npoly.polyval2d(*np.broadcast_arrays(x, v), u)
+
+        x_int, v_int = self.CELL
+        got = _tensor_apply(Projection1D("minus", k, x_int), Projection1D("plus", k, v_int), u_at)
+        expected = solve_tensor_projection(self.CELL, k, u_at)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_max_degree_runs(self):
+        rng = np.random.default_rng(30)
+        u = self.random_total_degree(rng, MAX_DEGREE + 1)
+        nux = self.random_total_degree(rng, MAX_DEGREE)
+        nuv = self.random_total_degree(rng, MAX_DEGREE)
+        res1, res2 = lemma_identity_residuals(u, nux, nuv, self.CELL, MAX_DEGREE)
+        assert abs(res1) <= 1e-11 and abs(res2) <= 1e-11
+        with pytest.raises(PreconditionError, match="MAX_DEGREE"):
+            lemma_identity_residuals(u, nux, nuv, self.CELL, MAX_DEGREE + 1)
 
     def test_degree_violations_rejected(self):
         u_too_big = np.zeros((4, 4))
