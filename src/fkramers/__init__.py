@@ -8,17 +8,7 @@ discretized with a local discontinuous Galerkin method on tensor meshes.
 
 from .cq import CQWeights, cq_weights
 from .errors import ConfigError, PreconditionError, SolverFailure
-from .ldg import (
-    DGField,
-    LDGSystem,
-    Trajectory,
-    assemble_spatial,
-    assemble_system,
-    build_system,
-    field_to_csv,
-    project_initial,
-    run,
-)
+from .ldg import DGField, Trajectory, assemble_spatial, field_to_csv, run
 from .mesh import (
     Basis,
     Mesh2D,
@@ -27,13 +17,7 @@ from .mesh import (
     modal_evaluate,
     modal_project,
 )
-from .problems import (
-    PROBLEM_IDS,
-    ProblemSpec,
-    get_problem,
-    load_vector,
-    require_mesh_aligned,
-)
+from .problems import PROBLEM_IDS, ProblemSpec, get_problem
 from .projections import Projection1D, lemma_identity_residuals
 from .study import (
     ConvergenceTable,
@@ -56,7 +40,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceTable",
     "DGField",
-    "LDGSystem",
     "Mesh2D",
     "PreconditionError",
     "PROBLEM_IDS",
@@ -66,21 +49,17 @@ __all__ = [
     "SolverFailure",
     "Trajectory",
     "assemble_spatial",
-    "assemble_system",
     "build_mesh",
-    "build_system",
     "cq_weights",
     "field_to_csv",
     "gauss_rule",
     "get_problem",
     "l2_error",
     "lemma_identity_residuals",
-    "load_vector",
     "modal_evaluate",
     "modal_project",
     "nodal_reconstruction_error",
     "nodal_values",
-    "project_initial",
     "rates_from_errors",
     "regularity_diagnostic",
     "run",

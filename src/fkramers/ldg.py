@@ -56,8 +56,8 @@ import numpy as np
 
 from .cq import MAX_STEPS, cq_weights, soe_node_count, soe_rule
 from .errors import PreconditionError, SolverFailure, _positive_finite, require_memory
-from .mesh import Basis, Mesh2D, build_mesh, modal_project
-from .problems import load_vector, require_mesh_aligned
+from .mesh import Basis, Mesh2D, build_mesh
+from .problems import _finite_projection, load_vector, require_mesh_aligned
 
 #: Relative residual accepted from the direct solver.
 SOLVE_RTOL = 1e-10
@@ -258,16 +258,9 @@ class LDGSystem:
         first row whose residual exceeds SOLVE_RTOL of its right-hand side,
         both in the 2-norm, raises SolverFailure; the rows after it were
         computed from its solution.  `rhs` is the residual's buffer and so is
-        overwritten.  An `out` of fewer rows than `rhs`, or fewer than
-        p + g - 1 weights, raises PreconditionError.
+        overwritten.
         """
         p = out.shape[0] - rhs.shape[0]
-        if p < 0:
-            raise PreconditionError("%d right-hand sides do not fit an output of %d rows"
-                                    % (rhs.shape[0], out.shape[0]))
-        if len(coupling) < out.shape[0] - 1:
-            raise PreconditionError("an output of %d rows needs %d CQ weights, got %d"
-                                    % (out.shape[0], out.shape[0] - 1, len(coupling)))
         lags = np.ascontiguousarray(coupling[::-1])  # d_{p+g-1} .. d_1; a reversed view is slow
         # a failed row feeds non-finite values into the later rows; the check
         # below reports the first failed row, so no overflow warning is needed
@@ -375,15 +368,9 @@ def assemble_system(factors, d0, basis):
     upwind coupling is K = -kron(grad_x[m:2m, :1], vmass) / er[0].  Both are
     formed dense, of order m * nv; no ndof-sized matrix is built.
     """
-    d0 = _positive_finite(d0, "leading weight d0")
     grad_x, vmass, v_block = factors
     m = basis.nmodes
     nv = v_block.shape[0]
-    if nv % m or any(f.shape != (nv, nv) for f in factors):
-        raise PreconditionError(
-            "a spatial operator of order %d does not fit degree-%d elements"
-            % (nv * nv, basis.degree)
-        )
     cell = m * nv
     block = np.kron(grad_x[:m, :m], vmass)
     diagonal = block.reshape(m, nv, m, nv)
@@ -419,10 +406,12 @@ def build_system(mesh, basis, d0, theta):
     return assemble_system(_step_factors(mesh, basis, theta), d0, basis)
 
 
-def project_initial(g0, mesh, basis, discontinuities=()):
-    """Cell-wise L2 projection of the initial data onto the discrete space."""
-    require_mesh_aligned(discontinuities, mesh)
-    return DGField(modal_project(g0, mesh, basis))
+def project_initial(g0, mesh, basis):
+    """Cell-wise L2 projection of the initial data onto the discrete space.
+
+    A projection that is not finite raises PreconditionError.
+    """
+    return DGField(_finite_projection(g0, mesh, basis, "the initial data g0"))
 
 
 @dataclass(eq=False)
@@ -531,8 +520,9 @@ def march(system, weights, g0_vec, source):
     The run has as many steps as `weights`, steps = weights.steps.
 
     `source` is None when source-free, else a pair (amplitudes, factors):
-    the (steps+1, K) array amplitudes[n, k] = a_k(t_n) and the (K, ndof)
-    raveled projections P_k, so the load of step n is amplitudes[n] @ factors.
+    the (steps+1, K) array amplitudes[n, k] = a_k(t_n), whose row 0 is not
+    read, and the (K, ndof) raveled projections P_k, so the load of step n is
+    amplitudes[n] @ factors.
 
     The history sum -sum_{j=1}^{n-1} d_j g^{n-j} is taken over blocks of
     HISTORY_BLOCK steps.  Before a block is solved, its rows of the returned
@@ -623,10 +613,12 @@ def run(problem, n, k, tau, theta=1.0):
     """Solve the problem on an n x n mesh with degree-k elements and step tau.
 
     Returns the full trajectory.  T = 0 yields just the projected initial
-    state.  The step system is set up, its x-cell block inverted and each
-    source factor projected exactly once, and each amplitude a_k is called
-    once, on the array of step times; the load of step n is then
-    sum_k a_k(t_n) P_k.
+    state.  The mesh must place a cell boundary on every discontinuity line
+    of the problem.  The step system is set up, its x-cell block inverted
+    and each source factor projected exactly once, and each amplitude a_k is
+    called once, on the array of the step times t_1 .. t_steps; the load of
+    step n is then sum_k a_k(t_n) P_k.  Initial data, source factors or
+    amplitudes that are not finite raise PreconditionError.
     """
     tau = _positive_finite(tau, "time step")
     theta = _positive_finite(theta, "penalty parameter")
@@ -635,9 +627,8 @@ def run(problem, n, k, tau, theta=1.0):
     terms = problem.source_terms
     _require_run_memory(n, basis, steps, len(terms))
     mesh = build_mesh(n)
-    g0_field = project_initial(
-        problem.g0, mesh, basis, discontinuities=problem.discontinuities
-    )
+    require_mesh_aligned(problem.discontinuities, mesh)
+    g0_field = project_initial(problem.g0, mesh, basis)
     if steps == 0:
         return Trajectory(mesh=mesh, basis=basis, tau=tau, levels=as_vector(g0_field.coeffs)[None])
     weights = cq_weights(problem.alpha, tau, steps)
@@ -645,12 +636,17 @@ def run(problem, n, k, tau, theta=1.0):
     source = None
     if terms:
         # one row per source term: its factor's projection, projected once,
-        # and one column of amplitudes, a constant one broadcast
+        # and one column of amplitudes, a constant one broadcast; no step
+        # reads row 0, the initial time, so it stays zero
         factors = np.stack([as_vector(p) for p in load_vector(problem, mesh, basis)])
-        times = tau * np.arange(steps + 1)
-        amplitudes = np.empty((steps + 1, len(terms)))
-        for column, (a, _) in zip(amplitudes.T, terms):
-            column[...] = a(times)
+        times = tau * np.arange(1, steps + 1)
+        amplitudes = np.zeros((steps + 1, len(terms)))
+        for term, (column, (a, _)) in enumerate(zip(amplitudes.T, terms), 1):
+            column[1:] = a(times)
+            bad = np.flatnonzero(~np.isfinite(column[1:]))
+            if bad.size:
+                raise PreconditionError("source amplitude a_%d is not finite at t = %r"
+                                        % (term, float(times[bad[0]])))
         source = (amplitudes, factors)
     levels = march(system, weights, as_vector(g0_field.coeffs), source)
     return Trajectory(mesh=mesh, basis=basis, tau=tau, levels=levels)

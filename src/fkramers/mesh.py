@@ -7,8 +7,8 @@ matrices are exactly the identity and the global L2 norm of a discrete field
 is the Euclidean norm of its coefficient vector.
 
 Data enter the discrete space through one rule, `modal_project`: the
-cell-wise L2 projection with k + 2 Gauss points per direction, so the
-largest degree is `MAX_DEGREE`.
+cell-wise L2 projection with k + 2 Gauss points per direction, for every
+degree k up to `MAX_DEGREE`.
 
 All types here are immutable after construction and safe to share read-only
 between concurrent runs.
@@ -24,11 +24,12 @@ import numpy as np
 
 from .errors import PreconditionError
 
-#: Largest supported Gauss-Legendre point count.
-MAX_QUAD_POINTS = 32
+#: Largest supported element degree.
+MAX_DEGREE = 30
 
-#: Largest element degree whose projection rule (degree + 2 points) exists.
-MAX_DEGREE = MAX_QUAD_POINTS - 2
+#: Largest supported Gauss-Legendre point count: the degree + 3 points with
+#: which `l2_error` integrates a callable, the largest rule any integral uses.
+MAX_QUAD_POINTS = MAX_DEGREE + 3
 
 
 def _legendre_raw(max_degree, xi):

@@ -31,8 +31,8 @@ class ProblemSpec:
 
     `source_terms` is a tuple of pairs (a_k, F_k): the source is
     f(x, v, t) = sum_k a_k(t) F_k(x, v), and no terms means no source.  A
-    run calls each a_k once, with the array of its step times, and a_k may
-    return a scalar for a constant amplitude.
+    run calls each a_k once, with the array of its step times t_1 .. t_steps,
+    and a_k may return a scalar for a constant amplitude.
     `exact` may be None (no closed-form solution).  `discontinuities` lists
     coordinates of jump lines in the data; meshes must place cell boundaries
     on every such line in both directions, otherwise cell-wise quadrature of
@@ -142,11 +142,22 @@ def load_vector(problem, mesh, basis):
     Returns an array with axes (term, x-cell, v-cell, x-mode, v-mode); the
     load at time t is sum_k a_k(t) P_k, the projection of the source sampled
     at t itself, with no time averaging.  A source-free problem gives no
-    terms.  Rejects meshes that miss a discontinuity line of the data.
+    terms.  A projection that is not finite raises PreconditionError naming
+    its term.
     """
-    require_mesh_aligned(problem.discontinuities, mesh)
     m = basis.nmodes
     out = np.empty((len(problem.source_terms), mesh.n, mesh.n, m, m))
-    for load, (_, factor) in zip(out, problem.source_terms):
-        load[...] = modal_project(factor, mesh, basis)
+    for term, (load, (_, factor)) in enumerate(zip(out, problem.source_terms), 1):
+        load[...] = _finite_projection(factor, mesh, basis, "source factor F_%d" % term)
     return out
+
+
+def _finite_projection(fn, mesh, basis, name):
+    """modal_project(fn, mesh, basis), or PreconditionError naming `name` if it is
+    not finite; no floating-point warning comes before the error.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        coeffs = modal_project(fn, mesh, basis)
+    if not np.isfinite(coeffs).all():
+        raise PreconditionError("the projection of %s is not finite" % name)
+    return coeffs

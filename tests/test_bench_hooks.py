@@ -15,7 +15,8 @@ import sys
 
 import pytest
 
-from fkramers import Basis, build_mesh, build_system
+from fkramers import Basis, build_mesh
+from fkramers.ldg import build_system
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")

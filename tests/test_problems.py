@@ -12,9 +12,9 @@ from fkramers import (
     ProblemSpec,
     build_mesh,
     get_problem,
-    load_vector,
+    run,
 )
-from fkramers.problems import require_mesh_aligned
+from fkramers.problems import load_vector, require_mesh_aligned
 from oracles import caputo_derivative, load_at
 
 
@@ -186,7 +186,7 @@ class TestSourceTerms:
         rng = np.random.default_rng(100 * n + 10 * k + PROBLEM_IDS.index(pid))
         if p.discontinuities and n == 1:
             with pytest.raises(PreconditionError, match="not a mesh line"):
-                load_vector(p, mesh, basis)
+                run(p, n, k, 0.5)
             with pytest.raises(PreconditionError, match="not a mesh line"):
                 load_at(p, 0.5, mesh, basis)
             return
@@ -227,9 +227,10 @@ class TestLoadVector:
         assert np.max(norms[~inside]) == 0.0
 
     def test_misaligned_mesh_rejected(self):
+        # run checks the alignment once, before it projects any data
         p = get_problem("ex1b", 0.5)
         with pytest.raises(PreconditionError) as err:
-            load_vector(p, build_mesh(3), Basis(1))
+            run(p, 3, 1, 0.5)
         assert str(err.value) == "discontinuity line at coordinate 0.5 is not a mesh line for N=3"
 
     def test_aligned_meshes_accepted(self):

@@ -28,6 +28,7 @@ from fkramers import (
     temporal_study,
 )
 from fkramers.ldg import as_vector
+from fkramers.mesh import MAX_DEGREE
 from fkramers.study import trajectory_growth
 from oracles import loop_nodal_values
 
@@ -108,6 +109,13 @@ class TestL2Error:
         for other in (zero_field(3, 1), zero_field(2, 2)):
             with pytest.raises(PreconditionError, match="different discretizations"):
                 l2_error(zero_field(2, 1), other)
+
+    def test_callable_at_max_degree(self):
+        # k + 3 = MAX_QUAD_POINTS points at k = MAX_DEGREE
+        got = l2_error(zero_field(1, MAX_DEGREE), lambda x, v: 1.0 + 0.0 * x)
+        assert got == pytest.approx(1.0, abs=1e-14)
+        one = projected(lambda x, v: 1.0 + 0.0 * x, 1, MAX_DEGREE)
+        assert l2_error(one, lambda x, v: 1.0 + 0.0 * x) <= 1e-13
 
     def test_field_distance_is_exact(self):
         a = projected(lambda x, v: x + v, 2, 1)
@@ -305,7 +313,8 @@ class TestTable:
 
 class TestStability:
     def test_zero_start_reports_zero(self):
-        from fkramers import build_system, cq_weights
+        from fkramers import cq_weights
+        from fkramers.ldg import build_system
 
         w = cq_weights(0.5, 0.25, 4)
         system = build_system(build_mesh(2), Basis(1), w.d[0], 1.0)
