@@ -8,24 +8,14 @@ discretized with a local discontinuous Galerkin method on tensor meshes.
 
 from .cq import CQWeights, cq_weights
 from .errors import ConfigError, PreconditionError, SolverFailure
-from .ldg import DGField, Trajectory, assemble_spatial, field_to_csv, run
-from .mesh import (
-    Basis,
-    Mesh2D,
-    build_mesh,
-    gauss_rule,
-    modal_evaluate,
-    modal_project,
-)
+from .ldg import DGField, Trajectory, assemble_spatial, run
+from .mesh import Basis, Mesh2D, build_mesh, modal_evaluate
 from .problems import PROBLEM_IDS, ProblemSpec, get_problem
-from .projections import Projection1D, lemma_identity_residuals
+from .projections import lemma_identity_residuals
 from .study import (
     ConvergenceTable,
     RegularityFit,
     l2_error,
-    nodal_reconstruction_error,
-    nodal_values,
-    rates_from_errors,
     regularity_diagnostic,
     spatial_study,
     stability_probe,
@@ -44,23 +34,16 @@ __all__ = [
     "PreconditionError",
     "PROBLEM_IDS",
     "ProblemSpec",
-    "Projection1D",
     "RegularityFit",
     "SolverFailure",
     "Trajectory",
     "assemble_spatial",
     "build_mesh",
     "cq_weights",
-    "field_to_csv",
-    "gauss_rule",
     "get_problem",
     "l2_error",
     "lemma_identity_residuals",
     "modal_evaluate",
-    "modal_project",
-    "nodal_reconstruction_error",
-    "nodal_values",
-    "rates_from_errors",
     "regularity_diagnostic",
     "run",
     "spatial_study",

@@ -57,7 +57,7 @@ import numpy as np
 from .cq import MAX_STEPS, cq_weights, soe_node_count, soe_rule
 from .errors import PreconditionError, SolverFailure, _positive_finite, require_memory
 from .mesh import Basis, Mesh2D, build_mesh
-from .problems import _finite_projection, load_vector, require_mesh_aligned
+from .problems import _broadcast_data, _finite_projection, load_vector, require_mesh_aligned
 
 #: Relative residual accepted from the direct solver.
 SOLVE_RTOL = 1e-10
@@ -81,7 +81,7 @@ class DGField:
             raise PreconditionError(
                 "coefficient tensor has shape %r, expected (N, N, k + 1, k + 1)" % (shape,)
             )
-        # build_mesh and Basis reject N < 1 and k < 1
+        # build_mesh rejects N < 1, and Basis a degree k outside [1, MAX_DEGREE]
         object.__setattr__(self, "mesh", build_mesh(shape[0]))
         object.__setattr__(self, "basis", Basis(shape[2] - 1))
 
@@ -618,7 +618,8 @@ def run(problem, n, k, tau, theta=1.0):
     and each source factor projected exactly once, and each amplitude a_k is
     called once, on the array of the step times t_1 .. t_steps; the load of
     step n is then sum_k a_k(t_n) P_k.  Initial data, source factors or
-    amplitudes that are not finite raise PreconditionError.
+    amplitudes whose values are not finite, or do not broadcast to the points
+    they are sampled at, raise PreconditionError.
     """
     tau = _positive_finite(tau, "time step")
     theta = _positive_finite(theta, "penalty parameter")
@@ -642,7 +643,8 @@ def run(problem, n, k, tau, theta=1.0):
         times = tau * np.arange(1, steps + 1)
         amplitudes = np.zeros((steps + 1, len(terms)))
         for term, (column, (a, _)) in enumerate(zip(amplitudes.T, terms), 1):
-            column[1:] = a(times)
+            column[1:] = _broadcast_data(a(times), times.shape, "source amplitude a_%d" % term,
+                                         "the step times")
             bad = np.flatnonzero(~np.isfinite(column[1:]))
             if bad.size:
                 raise PreconditionError("source amplitude a_%d is not finite at t = %r"

@@ -6,9 +6,10 @@ factor sqrt(2/h) it stays orthonormal in L2 of the cell, so element mass
 matrices are exactly the identity and the global L2 norm of a discrete field
 is the Euclidean norm of its coefficient vector.
 
-Data enter the discrete space through one rule, `modal_project`: the
-cell-wise L2 projection with k + 2 Gauss points per direction, for every
-degree k up to `MAX_DEGREE`.
+The element degree k is checked once, by `Basis`, to lie in [1, `MAX_DEGREE`];
+no integral uses more than k + 3 Gauss points.  Data enter the discrete space
+through one rule, `modal_project`: the cell-wise L2 projection with k + 2
+Gauss points per direction.
 
 All types here are immutable after construction and safe to share read-only
 between concurrent runs.
@@ -17,7 +18,7 @@ between concurrent runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -26,10 +27,6 @@ from .errors import PreconditionError
 
 #: Largest supported element degree.
 MAX_DEGREE = 30
-
-#: Largest supported Gauss-Legendre point count: the degree + 3 points with
-#: which `l2_error` integrates a callable, the largest rule any integral uses.
-MAX_QUAD_POINTS = MAX_DEGREE + 3
 
 
 def _legendre_raw(max_degree, xi):
@@ -60,8 +57,9 @@ class Basis:
     degree: int
 
     def __post_init__(self):
-        if not isinstance(self.degree, Integral) or self.degree < 1:
-            raise PreconditionError("basis degree must be an integer >= 1, got %r" % (self.degree,))
+        if not isinstance(self.degree, Integral) or not 1 <= self.degree <= MAX_DEGREE:
+            raise PreconditionError("element degree must be an integer in [1, MAX_DEGREE = %d],"
+                                    " got %r" % (MAX_DEGREE, self.degree))
 
     @property
     def nmodes(self):
@@ -108,19 +106,15 @@ class QuadRule:
 
 
 def gauss_rule(q):
-    """Gauss-Legendre rule with q points, exact for polynomials of degree 2q - 1.
+    """Gauss-Legendre rule with q >= 1 points, exact for polynomials of degree 2q - 1.
 
     Rules are computed once per point count and shared; their arrays are
-    read-only.
+    read-only.  q is taken as an int, so np.int64(4) and 4 share a rule.
     """
-    if not isinstance(q, Integral) or q < 1 or q > MAX_QUAD_POINTS:
-        raise PreconditionError(
-            "quadrature point count must be an integer in [1, %d], got %r" % (MAX_QUAD_POINTS, q)
-        )
     return _gauss_rule(int(q))
 
 
-@lru_cache(maxsize=MAX_QUAD_POINTS)
+@cache
 def _gauss_rule(q):
     nodes, weights = np.polynomial.legendre.leggauss(q)
     nodes.flags.writeable = False
@@ -134,7 +128,7 @@ def cell_points(mesh, xi):
     return mesh.nodes[:-1, None] + 0.5 * mesh.h * (xi[None, :] + 1.0)
 
 
-@lru_cache(maxsize=MAX_QUAD_POINTS)
+@cache
 def _weighted_table(degree, q):
     """Orthonormal Legendre values times the Gauss weights, shape (degree + 1, q).
 

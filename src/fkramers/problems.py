@@ -152,12 +152,25 @@ def load_vector(problem, mesh, basis):
     return out
 
 
+def _broadcast_data(values, shape, name, where):
+    """An input's values as floats broadcast to `shape`, or PreconditionError naming it."""
+    values = np.asarray(values, dtype=float)
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise PreconditionError("%s returned shape %r, which does not broadcast to %r, the shape"
+                                " of %s" % (name, values.shape, shape, where)) from None
+
+
 def _finite_projection(fn, mesh, basis, name):
-    """modal_project(fn, mesh, basis), or PreconditionError naming `name` if it is
-    not finite; no floating-point warning comes before the error.
+    """modal_project(fn, mesh, basis), or PreconditionError naming `name` if fn's
+    values do not fit the grid or are not finite; no floating-point warning first.
     """
+    def sampled(x, v):
+        return _broadcast_data(fn(x, v), (x.size, v.size), name, "the quadrature grid")
+
     with np.errstate(invalid="ignore", over="ignore"):
-        coeffs = modal_project(fn, mesh, basis)
+        coeffs = modal_project(sampled, mesh, basis)
     if not np.isfinite(coeffs).all():
         raise PreconditionError("the projection of %s is not finite" % name)
     return coeffs

@@ -1,7 +1,7 @@
 """1D projections onto polynomial spaces, plus superconvergence checks.
 
 Two one-sided 1D projections of a function u onto polynomials of degree
-1 <= k <= `MAX_DEGREE` on an interval:
+k on an interval, for the degrees `mesh.Basis` accepts, 1 <= k <= `MAX_DEGREE`:
 
 * "plus":   residual orthogonal to degree k-1, exact at the left endpoint;
 * "minus":  residual orthogonal to degree k-1, exact at the right endpoint.
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PreconditionError
-from .mesh import MAX_DEGREE, gauss_rule, legendre_table
+from .mesh import Basis, gauss_rule, legendre_table
 
 KINDS = ("plus", "minus")
 
@@ -51,9 +50,7 @@ class Projection1D:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PreconditionError("unknown projection kind %r" % (self.kind,))
-        if not isinstance(self.degree, Integral) or not 1 <= self.degree <= MAX_DEGREE:
-            raise PreconditionError("projection degree must be an integer in [1, MAX_DEGREE = %d],"
-                                    " got %r" % (MAX_DEGREE, self.degree))
+        Basis(self.degree)  # an integer in [1, MAX_DEGREE]
         lo, hi = self.interval
         if not hi > lo:
             raise PreconditionError("empty interval %r" % (self.interval,))

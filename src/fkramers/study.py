@@ -3,10 +3,13 @@
 The temporal studies measure self-convergence: the L2 distance at the final
 time between runs with steps tau and tau/2 on one fixed mesh.  The spatial
 studies measure the distance to a known exact solution through the nodal
-reconstruction both are tabulated with, whose interface nodes are resolved
-by degree (see `nodal_values`).  A `ConvergenceTable` computes its rates
-from its errors by pure arithmetic, so tables can be reproduced exactly
-from their CSV form.
+reconstruction both are tabulated with, at the k N + 1 uniform nodes per
+direction (`nodal_values`): at k = 1 an interface node takes the mean of the
+adjacent traces and the outer nodes are zero, above k = 1 it keeps the last
+cell's trace in scan order.  A `ConvergenceTable` computes its rates from
+one positive finite error per distinct positive finite resolution by pure
+arithmetic (`rates_from_errors`), so tables can be reproduced exactly from
+their CSV form.
 """
 
 from __future__ import annotations

@@ -6,8 +6,11 @@ import os
 import re
 
 import fkramers
+import fkramers.projections
 
-#: Names the package no longer provides; nothing in it calls them.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Names the package no longer exports; no caller outside it used them.
 REMOVED = (
     "QuadRule",
     "history_combination",
@@ -26,16 +29,27 @@ REMOVED = (
     "build_system",
     "project_initial",
     "load_vector",
+    "gauss_rule",
+    "modal_project",
+    "nodal_values",
+    "nodal_reconstruction_error",
+    "rates_from_errors",
+    "Projection1D",
+    "field_to_csv",
 )
 
-#: Members the exported classes no longer have; nothing in the package calls them.
+#: The callers outside the package, with README's Library example, whose
+#: calls decide which functions are exported.
+OUTSIDE_CALLERS = ("tests/test_acceptance.py", "perfbench/workloads.py")
+
+#: Members the classes no longer have, by module; nothing in the package calls them.
 REMOVED_MEMBERS = {
-    "Projection1D": ("rows", "condition_matrix", "nmodes"),
+    (fkramers.projections, "Projection1D"): ("rows", "condition_matrix", "nmodes"),
 }
 
 #: Values a caller can set through the exported names, counted by
 #: `settable_values`; a change to the API changes it, and says why.
-SETTABLE_VALUES = 96
+SETTABLE_VALUES = 78
 
 
 def settable_values(obj):
@@ -65,11 +79,14 @@ def test_removed_names_not_exported():
     assert [name for name in REMOVED if name in fkramers.__all__] == []
 
 
+def _read(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _readme_export_list():
     """The names that README's export list puts first in a backticked span."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read("README.md")
     section = text.split("The package exports these names:\n\n", 1)[1].split("\n\n", 1)[0]
     return {m.group(1) for m in re.finditer(r"`([A-Za-z_]\w*)", section)}
 
@@ -80,9 +97,26 @@ def test_readme_lists_the_exports():
     assert [name for name in REMOVED if name in listed] == []
 
 
+def _library_example():
+    """The code of README's Library example."""
+    return _read("README.md").split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_exported_functions_are_called_outside():
+    # a function is exported only if the gate, the benchmark or README's
+    # example calls it by name; classes, exceptions and constants are exempt
+    texts = [_read(path) for path in OUTSIDE_CALLERS] + [_library_example()]
+    uncalled = [
+        name for name in fkramers.__all__
+        if inspect.isfunction(getattr(fkramers, name))
+        and not any(re.search(r"\b%s\(" % name, text) for text in texts)
+    ]
+    assert uncalled == []
+
+
 def test_removed_members_absent():
-    present = [(cls, name) for cls, names in REMOVED_MEMBERS.items()
-               for name in names if hasattr(getattr(fkramers, cls), name)]
+    present = [(cls, name) for (module, cls), names in REMOVED_MEMBERS.items()
+               for name in names if hasattr(getattr(module, cls), name)]
     assert present == []
 
 

@@ -29,11 +29,8 @@ from fkramers import (
     assemble_spatial,
     build_mesh,
     cq_weights,
-    field_to_csv,
-    gauss_rule,
     get_problem,
     modal_evaluate,
-    modal_project,
     run,
 )
 from fkramers.cli import TEMPORAL_ALPHAS
@@ -51,10 +48,11 @@ from fkramers.ldg import (
     as_vector,
     assemble_system,
     build_system,
+    field_to_csv,
     march,
     project_initial,
 )
-from fkramers.mesh import legendre_table
+from fkramers.mesh import gauss_rule, legendre_table, modal_project
 from fkramers.problems import load_vector
 from oracles import (
     assemble_gradient,
@@ -856,6 +854,39 @@ class TestRun:
         problem = self._problem(amplitude=lambda t: np.where(t == 0.5, np.inf, 1.0))
         with pytest.raises(PreconditionError, match=r"amplitude a_2 is not finite at t = 0\.5$"):
             run(problem, 2, 1, 0.25)
+
+    def test_misshapen_initial_data_rejected(self):
+        problem = self._problem(g0=lambda x, v: np.ones(3))
+        with pytest.raises(PreconditionError, match=r"initial data g0 returned shape \(3,\), which"
+                                                    r" does not broadcast to \(6, 6\)"):
+            run(problem, 2, 1, 0.25)
+
+    def test_misshapen_source_factor_rejected(self):
+        problem = self._problem(factor=lambda x, v: np.ones((6, 6, 2)))
+        with pytest.raises(PreconditionError, match=r"source factor F_2 returned shape"
+                                                    r" \(6, 6, 2\), which does not broadcast"
+                                                    r" to \(6, 6\)"):
+            run(problem, 2, 1, 0.25)
+
+    def test_misshapen_amplitude_rejected(self):
+        problem = self._problem(amplitude=lambda t: np.ones(3))
+        with pytest.raises(PreconditionError, match=r"source amplitude a_2 returned shape \(3,\),"
+                                                    r" which does not broadcast to \(4,\), the"
+                                                    r" shape of the step times"):
+            run(problem, 2, 1, 0.25)
+
+    def test_data_of_broadcastable_shape_accepted(self):
+        # a row, a column and a scalar broadcast over the points they are sampled at
+        problem = self._problem(g0=lambda x, v: x + 0.0 * v[:, :1], factor=lambda x, v: v,
+                                amplitude=lambda t: 2.0)
+        assert np.isfinite(run(problem, 2, 1, 0.25).levels).all()
+
+    def test_degree_above_limit_rejected(self):
+        # Basis checks the degree before any rule or array is built
+        with pytest.raises(PreconditionError, match="MAX_DEGREE = 30"):
+            run(get_problem("ex1a", 0.5, 0.5), 1, 31, 0.5)
+        with pytest.raises(PreconditionError, match="MAX_DEGREE = 30"):
+            DGField(np.zeros((1, 1, 32, 32)))
 
     def test_run_agrees_with_manual_steps(self):
         # drive the direct-sum reference loop with the same loads and compare

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from fkramers import PreconditionError, Projection1D, build_mesh, lemma_identity_residuals
+from fkramers import PreconditionError, build_mesh, lemma_identity_residuals
 from fkramers.mesh import MAX_DEGREE
-from fkramers.projections import _tensor_apply
+from fkramers.projections import Projection1D, _tensor_apply
 from oracles import solve_projection, solve_tensor_projection
 
 #: Degrees on which the closed form is pinned to the solve-based oracle.

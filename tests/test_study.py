@@ -17,10 +17,6 @@ from fkramers import (
     build_mesh,
     get_problem,
     l2_error,
-    modal_project,
-    nodal_reconstruction_error,
-    nodal_values,
-    rates_from_errors,
     regularity_diagnostic,
     run,
     spatial_study,
@@ -28,8 +24,10 @@ from fkramers import (
     temporal_study,
 )
 from fkramers.ldg import as_vector
-from fkramers.mesh import MAX_DEGREE
-from fkramers.study import trajectory_growth
+from fkramers.mesh import MAX_DEGREE, modal_project
+from fkramers.study import (
+    nodal_reconstruction_error, nodal_values, rates_from_errors, trajectory_growth,
+)
 from oracles import loop_nodal_values
 
 
