@@ -20,15 +20,31 @@ velocity weight, and B gathers v-transport, diffusion, penalty and the shift.
 
 G is block lower bidiagonal over the x-cells with equal diagonal blocks, so
 each time step is solved exactly by an x-upwind block sweep (Reed & Hill,
-1973): the dense inverse of a single x-cell block, formed once per run,
-applied to all cells in one matrix product, then the linear recurrence over
-the cell traces in the flow direction, solved by a doubling scan of
-ceil(log2 N) products (Hillis & Steele, 1986; Blelloch, 1990), and one more
-product for the upwind coupling.
-The step path keeps only the dense 1D factors G, V, B and arrays of order at
-most (k + 1)^2 N, and uses numpy alone; scipy is imported only to build the
-assembled sparse operator on request (`assemble_spatial`, `LDGSystem.matrix`
-and `LDGSystem.lu`).
+1973), in one of two ways, both set up once per run:
+
+- the dense sweep: the dense inverse of a single x-cell block applied to all
+  cells in one matrix product, then the linear recurrence over the cell
+  traces in the flow direction, solved by a doubling scan of ceil(log2 N)
+  products (Hillis & Steele, 1986; Blelloch, 1990), and one more product for
+  the upwind coupling;
+- the eigen sweep, by fast diagonalization in v (Lynch, Rice & Thomas,
+  1964): one eigendecomposition of M = V^{-1} (d0 I + B) turns a step into
+  one product into M's eigenbasis, nv independent (k + 1) x (k + 1) cell
+  solves, a scalar recurrence per eigenvalue solved by the same doubling
+  scan elementwise, and one product back.
+
+The eigen sweep is used from EIGEN_SWEEP_MIN_NV v-unknowns nv = N (k + 1)
+on, a crossover measured on both sweeps, where it is faster and keeps
+arrays of order nv^2 instead of (k + 1)^2 nv^2.  Below it, and whenever M
+has a complex eigenvalue or eigenvectors with a condition number above
+EIGEN_SWEEP_MAX_COND, the dense sweep is set up.  Each step's solution must
+pass a normwise backward-error check, ||S x - b|| <= SOLVE_RTOL
+(||S|| ||x|| + ||b||) with ||S|| bounded from the 1D factors, which holds
+for any backward-stable solve however large ||S|| is.
+The step path keeps only the dense 1D factors G, V, B and the sweep's
+arrays, and uses numpy alone; scipy is imported only to build the assembled
+sparse operator on request (`assemble_spatial`, `LDGSystem.matrix` and
+`LDGSystem.lu`).
 
 The source is projected once per run, one array per separable term
 (`load_vector`), and each amplitude is sampled once at all step times, so
@@ -59,8 +75,9 @@ from .errors import PreconditionError, SolverFailure, _positive_finite, require_
 from .mesh import Basis, Mesh2D, build_mesh
 from .problems import _broadcast_data, _finite_projection, load_vector, require_mesh_aligned
 
-#: Relative residual accepted from the direct solver.
-SOLVE_RTOL = 1e-10
+#: Normwise backward error accepted from the direct solver: the residual of
+#: a step may be at most this share of norm_bound ||x|| + ||b||.
+SOLVE_RTOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,23 +213,26 @@ def assemble_spatial(mesh, basis, theta):
 
 @dataclass(eq=False)
 class LDGSystem:
-    """The time-step system d0 * I + G (x) V + I (x) B and its x-upwind block sweep.
+    """The time-step system S = d0 * I + G (x) V + I (x) B and its x-upwind block sweep.
 
     In the (i, a, J) ordering, with J = (j, b) running over nv = N * m
-    v-indices, the step matrix is kron(I_N, A) + kron(S, E): A is the x-cell
-    block, S the sub-diagonal shift and E = -K kron(er^T, I_nv) the coupling
-    to the upwind cell, where K = (2/h) kron(el, V).  Hence the cells are
-    solved in the flow direction by u_i = y_i + lift tau_{i-1}, with
-    y_i = A^{-1} r_i and lift = A^{-1} K, and the right traces
-    tau_i = kron(er^T, I_nv) u_i obey tau_i = c_i + T tau_{i-1}, where c_i is
-    the trace of y_i and T the trace of lift.  Every y_i comes from one
-    product with the dense A^{-1}, stored transposed and contiguous as the
-    product reads it; the recurrence is solved by the doubling scan of
-    :func:`_trace_scan` with the stored powers (T^T)^(2^p).  A sweep is thus
-    a fixed handful of products that use numpy alone.  :meth:`solve` sweeps
-    a group of consecutive time steps, one after the other, and then checks
-    all their residuals in one batched pass, matrix-free from the 1D
-    factors.  Immutable after construction.
+    v-indices, the step matrix is kron(I_N, A) + kron(S_x, E): A is the x-cell
+    block, S_x the sub-diagonal shift and E = -K kron(er^T, I_nv) the coupling
+    to the upwind cell, where K = kron(kappa, V) and kappa = (2/h) el.  Hence
+    the cells are solved in the flow direction, A u_i = r_i + K tau_{i-1},
+    with tau_i = kron(er^T, I_nv) u_i the right trace of cell i.  How a sweep
+    solves the cells is the subclass's: :class:`DenseSweepSystem` applies the
+    dense inverse of A, :class:`EigenSweepSystem` diagonalizes the v-factor;
+    :func:`assemble_system` chooses between them.  Either sweep is a fixed
+    handful of products that use numpy alone.
+
+    :meth:`solve` sweeps a group of consecutive time steps, one after the
+    other, and then checks all their residuals in one batched pass,
+    matrix-free from the 1D factors, against the normwise backward-error
+    scale norm_bound ||x|| + ||b||, b the right-hand side (Rigal & Gaches,
+    J. ACM 14, 1967).  `norm_bound` = d0 + beta(G) beta(V) + beta(B), with
+    beta(X) = sqrt(||X||_1 ||X||_inf) >= ||X||_2, bounds ||S||_2 from above.
+    Immutable after construction.
 
     `matrix` (the assembled step matrix) and `lu` (the SuperLU factors of A)
     are built with scipy on first access, for inspection and tests only.
@@ -222,10 +242,8 @@ class LDGSystem:
     vmass: np.ndarray = field(repr=False)  # V, shape (nv, nv)
     v_block: np.ndarray = field(repr=False)  # B, shape (nv, nv)
     d0: float
-    inverse_t: np.ndarray = field(repr=False)  # dense A^{-T}, shape (m * nv, m * nv)
-    lift_t: np.ndarray = field(repr=False)  # (A^{-1} K)^T, shape (nv, m * nv)
-    powers: np.ndarray = field(repr=False)  # (T^T)^(2^p), shape (ceil(log2 N), nv, nv)
     right: np.ndarray = field(repr=False)  # x-mode values er at the right cell edge
+    norm_bound: float  # an upper bound of ||S||_2
 
     @cached_property
     def matrix(self):
@@ -240,7 +258,7 @@ class LDGSystem:
         """SuperLU factors of the x-cell block A; no time step uses them."""
         import scipy.sparse.linalg as spla
 
-        cell = self.inverse_t.shape[0]
+        cell = self.right.size * self.v_block.shape[0]
         return spla.splu(self.matrix[:cell, :cell].tocsc())
 
     def solve(self, rhs, coupling, out):
@@ -255,10 +273,10 @@ class LDGSystem:
 
         by forward substitution in time, one sweep per row, into row p + r of
         `out`.  Then every new row's residual is checked in one pass, and the
-        first row whose residual exceeds SOLVE_RTOL of its right-hand side,
-        both in the 2-norm, raises SolverFailure; the rows after it were
-        computed from its solution.  `rhs` is the residual's buffer and so is
-        overwritten.
+        first row whose backward error ||S x - b|| / (norm_bound ||x|| + ||b||),
+        in the 2-norm with b its right-hand side, exceeds SOLVE_RTOL raises
+        SolverFailure; the rows after it were computed from its solution.
+        `rhs` is the residual's buffer and so is overwritten.
         """
         p = out.shape[0] - rhs.shape[0]
         lags = np.ascontiguousarray(coupling[::-1])  # d_{p+g-1} .. d_1; a reversed view is slow
@@ -269,28 +287,27 @@ class LDGSystem:
                 if r:
                     rhs[r - p] -= lags[lags.size - r:] @ out[:r]
                 self._sweep(rhs[r - p], out[r])
-            load, e = _scaled_row_norms(rhs)
-            np.maximum(load, np.ldexp(1e-30, -e), out=load)
+            load, e_load = _scaled_row_norms(rhs)
+            solution, e_x = _scaled_row_norms(out[p:])
             self._residuals(out[p:], rhs)
             resid, e_resid = _scaled_row_norms(rhs)
-            ratio = np.ldexp(resid / load, e_resid - e)
+            # each norm is norms * 2**e; the scale norm_bound ||x|| + ||b|| is
+            # taken in units of 2**e_resid, and a zero one has a zero residual
+            bound, e_bound = math.frexp(self.norm_bound)
+            scale = np.ldexp(bound * solution, e_x + e_bound - e_resid)
+            scale += np.ldexp(load, e_load - e_resid)
+            ratio = resid / np.maximum(scale, _TINY, out=scale)
         failed = np.flatnonzero(~(ratio <= SOLVE_RTOL))
         if failed.size:
             raise SolverFailure(
-                "direct solve residual %.3e of the load norm exceeds %.1e"
-                % (ratio[failed[0]], SOLVE_RTOL)
+                "direct solve backward error %.3e exceeds %.1e (residual over"
+                " ||S|| ||x|| + ||b||)" % (ratio[failed[0]], SOLVE_RTOL)
             )
         return out
 
     def _sweep(self, rhs, out):
         """Solve one step exactly for the 1-D `rhs`, into the 1-D `out`."""
-        cell, nv = self.inverse_t.shape[0], self.lift_t.shape[0]
-        y = out.reshape(-1, cell)  # row i is y_i
-        np.matmul(rhs.reshape(-1, cell), self.inverse_t, out=y)
-        # row i holds c_i, then tau_i once the scan has passed it
-        traces = _trace_scan(self.right @ y.reshape(y.shape[0], self.right.size, nv),
-                             self.powers)
-        y[1:] += traces[:-1] @ self.lift_t
+        raise NotImplementedError
 
     def _residuals(self, x, rhs):
         """Overwrite each row rhs_r by the residual M x_r - rhs_r.
@@ -309,8 +326,74 @@ class LDGSystem:
         np.subtract(resid.reshape(g, -1), rhs, out=rhs)
 
 
+@dataclass(eq=False)
+class DenseSweepSystem(LDGSystem):
+    """The block sweep with the dense inverse of the x-cell block A.
+
+    u_i = y_i + lift tau_{i-1}, with y_i = A^{-1} r_i and lift = A^{-1} K,
+    and the right traces obey tau_i = c_i + T tau_{i-1}, where c_i is the
+    trace of y_i and T the trace of lift.  Every y_i comes from one product
+    with the dense A^{-1}, stored transposed and contiguous as the product
+    reads it; the recurrence is solved by the doubling scan of
+    :func:`_trace_scan` with the stored powers (T^T)^(2^p).
+    """
+
+    inverse_t: np.ndarray = field(repr=False)  # dense A^{-T}, shape (m * nv, m * nv)
+    lift_t: np.ndarray = field(repr=False)  # (A^{-1} K)^T, shape (nv, m * nv)
+    powers: np.ndarray = field(repr=False)  # (T^T)^(2^p), shape (ceil(log2 N), nv, nv)
+
+    def _sweep(self, rhs, out):
+        cell, nv = self.inverse_t.shape[0], self.lift_t.shape[0]
+        y = out.reshape(-1, cell)  # row i is y_i
+        np.matmul(rhs.reshape(-1, cell), self.inverse_t, out=y)
+        # row i holds c_i, then tau_i once the scan has passed it
+        traces = _trace_scan(self.right @ y.reshape(y.shape[0], self.right.size, nv),
+                             self.powers)
+        y[1:] += traces[:-1] @ self.lift_t
+
+
+@dataclass(eq=False)
+class EigenSweepSystem(LDGSystem):
+    """The block sweep by fast diagonalization in v (Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964).
+
+    With U_i the (m, nv) view of u_i, A u_i = (G_d U_i + U_i M^T) V^T, where
+    G_d is the diagonal block of G and M = V^{-1} (d0 I + B).  Given
+    M^T = Q diag(lambda) Q^{-1}, the columns of W_i = U_i Q decouple:
+
+        (G_d + lambda_J I) w_{iJ} = z_{iJ} + kappa sigma_{i-1, J},
+
+    with Z_i = R_i V^{-T} Q and sigma_i = Q^T tau_i = W_i^T er.  So
+    w_{iJ} = y_{iJ} + l_J sigma_{i-1, J}, with y_{iJ} = C_J z_{iJ},
+    C_J = (G_d + lambda_J I)^{-1} and l_J = C_J kappa, and each trace obeys
+    the scalar recurrence sigma_{iJ} = er^T y_{iJ} + t_J sigma_{i-1, J} with
+    t_J = er^T l_J, solved by the doubling scan elementwise.  A sweep is one
+    product into the eigenbasis, the m x m solves, the scan, the rank-one
+    lift and one product back, U_i = W_i Q^{-1}.
+    """
+
+    to_eigen: np.ndarray = field(repr=False)  # V^{-T} Q, shape (nv, nv)
+    from_eigen: np.ndarray = field(repr=False)  # Q^{-1}, shape (nv, nv)
+    cells: np.ndarray = field(repr=False)  # cells[a, b, J] = C_J[a, b], shape (m, m, nv)
+    lifts: np.ndarray = field(repr=False)  # lifts[a, J] = l_J[a], shape (m, nv)
+    powers: np.ndarray = field(repr=False)  # t^(2^p), shape (ceil(log2 N), nv)
+
+    def _sweep(self, rhs, out):
+        m, nv = self.lifts.shape
+        z = out.reshape(-1, nv)
+        np.matmul(rhs.reshape(-1, nv), self.to_eigen, out=z)
+        w = np.einsum("abj,ibj->iaj", self.cells, z.reshape(-1, m, nv))
+        # row i holds er^T y_i, then sigma_i once the scan has passed it
+        traces = _trace_scan(self.right @ w, self.powers, np.multiply)
+        for a in range(m):  # one (N - 1, nv) temporary at a time
+            w[1:, a] += traces[:-1] * self.lifts[a]
+        np.matmul(w.reshape(-1, nv), self.from_eigen, out=z)
+
+
 #: Sums of squares in this range are free of overflow and of harmful underflow.
 _SAFE_SQUARES = (2.0 ** -900, np.finfo(float).max)
+
+_TINY = np.finfo(float).tiny
 
 
 def _scaled_row_norms(rows):
@@ -330,45 +413,90 @@ def _scaled_row_norms(rows):
     return np.linalg.norm(np.ldexp(rows, -e[:, None]), axis=1), e
 
 
-def _doubling_powers(transfer_t, n):
-    """The powers transfer_t^(2^p) for p < ceil(log2 n), stacked; (0, nv, nv) at n = 1."""
+def _doubling_powers(transfer_t, n, product=np.matmul):
+    """The powers transfer_t^(2^p) for p < ceil(log2 n), stacked; empty at n = 1.
+
+    `product` is np.matmul for a matrix, np.multiply for the diagonal of one.
+    """
     count = (n - 1).bit_length()
     powers = np.empty((count,) + transfer_t.shape)
     if count:
         powers[0] = transfer_t
     for p in range(1, count):
-        np.matmul(powers[p - 1], powers[p - 1], out=powers[p])
+        product(powers[p - 1], powers[p - 1], out=powers[p])
     return powers
 
 
-def _trace_scan(traces, powers):
-    """Solve tau_i = c_i + tau_{i-1} P for the rows of `traces`, in place.
+def _trace_scan(traces, powers, product=np.matmul):
+    """Solve tau_i = c_i + product(tau_{i-1}, P) for the rows of `traces`, in place.
 
     Row i holds c_i on entry and tau_i on return, with tau_0 = c_0 and
-    powers[p] = P^(2^p).  After the pass with shift s = 2^p every row holds
-    the sum of its last 2s terms c_{i-j} P^j; the right-hand side of each
+    powers[p] = P^(2^p); `product` is np.matmul for a matrix P, np.multiply
+    for a diagonal one given as a vector.  After the pass with shift s = 2^p
+    every row holds the sum of its last 2s terms; the right-hand side of each
     pass is formed before the update, so rows read the previous pass
     (Hillis & Steele, CACM 29, 1986).  Exact: ceil(log2 N) passes reach
-    every j < N.
+    every lag below N.
     """
     s = 1
     for power in powers:
-        traces[s:] += traces[:-s] @ power
+        traces[s:] += product(traces[:-s], power)
         s *= 2
     return traces
+
+
+#: The eigen sweep is used from this many v-unknowns nv = N (k + 1) on.  It
+#: costs about 4 m^3 N^3 flops a step, m = k + 1, against
+#: 2 m^4 N^3 + 2 m^3 N^3 + 2 m^2 N^3 log2 N for the dense sweep, but in more
+#: and smaller operations.  Measured on both (2 vCPUs, OpenBLAS, 2 threads),
+#: it was slower at nv = 32 (k = 1) and nv = 60 (k = 2), even at nv = 60
+#: (k = 1), and faster at every size from nv = 88 on; 96 keeps a margin.
+EIGEN_SWEEP_MIN_NV = 96
+
+#: The largest 2-norm condition number of the eigenvectors Q that the eigen
+#: sweep accepts, since the rounding of its two changes of basis grows with
+#: it.  Measured, it was at most 11.3 (nv <= 1024, k <= 30, d0 in [1e-3, 1e6]).
+EIGEN_SWEEP_MAX_COND = 30.0
+
+
+def _norm_bound(grad_x, vmass, v_block, d0):
+    """d0 + beta(G) beta(V) + beta(B), with beta(X) = sqrt(||X||_1 ||X||_inf) >= ||X||_2."""
+    def beta(x):
+        return math.sqrt(np.linalg.norm(x, 1)) * math.sqrt(np.linalg.norm(x, np.inf))
+
+    with np.errstate(over="ignore"):
+        bound = d0 + beta(grad_x) * beta(vmass) + beta(v_block)
+    if not math.isfinite(bound):
+        raise SolverFailure("the norm of the step matrix overflows")
+    return bound
 
 
 def assemble_system(factors, d0, basis):
     """Set up the block sweep for d0 * I + spatial once for all time steps.
 
     `factors` is the triple (grad_x, vmass, v_block) of dense 1D factors of
-    the spatial operator kron(grad_x, vmass) + kron(I, v_block).  Every
-    x-cell of the uniform mesh has the same diagonal block
+    the spatial operator kron(grad_x, vmass) + kron(I, v_block).  From
+    EIGEN_SWEEP_MIN_NV v-unknowns on, the eigen sweep is tried
+    (:func:`_eigen_system`); below, or when M = V^{-1} (d0 I + B) has a
+    complex spectrum or ill-conditioned eigenvectors, the dense one
+    (:func:`_dense_system`) is set up.
+    """
+    system = None
+    if factors[2].shape[0] >= EIGEN_SWEEP_MIN_NV:
+        system = _eigen_system(factors, d0, basis)
+    return system if system is not None else _dense_system(factors, d0, basis)
+
+
+def _dense_system(factors, d0, basis):
+    """The dense sweep's system.
+
+    Every x-cell of the uniform mesh has the same diagonal block
     A = d0 I + kron(grad_x[:m, :m], vmass) + kron(I_m, v_block), and the
     upwind coupling is K = -kron(grad_x[m:2m, :1], vmass) / er[0].  Both are
     formed dense, of order m * nv; no ndof-sized matrix is built.
     """
     grad_x, vmass, v_block = factors
+    bound = _norm_bound(grad_x, vmass, v_block, d0)
     m = basis.nmodes
     nv = v_block.shape[0]
     cell = m * nv
@@ -395,9 +523,41 @@ def assemble_system(factors, d0, basis):
     del coupling
     # transfer^T[K, J] = sum_a er[a] lift[a nv + J, K]
     transfer_t = right @ lift_t.reshape(nv, right.size, nv)
-    return LDGSystem(
-        grad_x=grad_x, vmass=vmass, v_block=v_block, d0=d0, inverse_t=inverse_t, lift_t=lift_t,
-        powers=_doubling_powers(transfer_t, nv // m), right=right,
+    return DenseSweepSystem(
+        grad_x=grad_x, vmass=vmass, v_block=v_block, d0=d0, right=right, norm_bound=bound,
+        inverse_t=inverse_t, lift_t=lift_t, powers=_doubling_powers(transfer_t, nv // m),
+    )
+
+
+def _eigen_system(factors, d0, basis):
+    """The eigen sweep's system, or None when M = V^{-1} (d0 I + B) has a
+    complex eigenvalue, eigenvectors Q with a condition number above
+    EIGEN_SWEEP_MAX_COND, or a shifted cell block G_d + lambda_J I without a
+    finite inverse.
+    """
+    grad_x, vmass, v_block = factors
+    bound = _norm_bound(grad_x, vmass, v_block, d0)
+    m = basis.nmodes
+    nv = v_block.shape[0]
+    shifted = v_block + d0 * np.eye(nv)
+    try:
+        lam, q = np.linalg.eig(np.linalg.solve(vmass, shifted).T)  # M^T = Q diag(lam) Q^{-1}
+        if lam.dtype.kind == "c" or not np.linalg.cond(q) <= EIGEN_SWEEP_MAX_COND:
+            return None
+        from_eigen = np.linalg.inv(q)
+        cells = np.linalg.inv(grad_x[:m, :m] + lam[:, None, None] * np.eye(m))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(cells).all():
+        return None
+    right = _reference_blocks(basis)[3]
+    kappa = -grad_x[m:2 * m, 0] / right[0] if nv > m else np.zeros(m)
+    lifts = cells @ kappa  # (nv, m)
+    return EigenSweepSystem(
+        grad_x=grad_x, vmass=vmass, v_block=v_block, d0=d0, right=right, norm_bound=bound,
+        to_eigen=np.linalg.solve(vmass.T, q), from_eigen=from_eigen,
+        cells=np.ascontiguousarray(cells.transpose(1, 2, 0)), lifts=np.ascontiguousarray(lifts.T),
+        powers=_doubling_powers(lifts @ right, nv // m, np.multiply),
     )
 
 
@@ -481,16 +641,27 @@ def _run_arrays(n, basis, steps, terms=0):
 
     The sampled data is the initial data, or a source factor, at the points
     of its projection; the operators are the five 1D ones and the v-block.
-    The accumulators, one level per node of `soe_rule`, are counted as at
+    Below EIGEN_SWEEP_MIN_NV v-unknowns the sweep's arrays are the dense
+    sweep's: the x-cell block with its inverse, the lift and the powers.
+    From there on they are the eigen sweep's, and "dense fallback" reserves
+    the difference to the dense sweep's, which set-up builds instead when
+    the eigen sweep does not apply, so the sum bounds either.  The
+    accumulators, one level per node of `soe_rule`, are counted as at
     alpha = 1, where the rule has the most nodes.
     """
     m, ndof = basis.nmodes, (n * basis.nmodes) ** 2
+    nv, scan = n * m, (n - 1).bit_length()
     arrays = {"sampled data": (n * (m + 1)) ** 2, "levels": (steps + 1) * ndof}
     if steps:
+        sweep = {"cell block": 2 * m ** 2 * ndof, "lift": m * ndof, "powers": scan * ndof}
+        if nv >= EIGEN_SWEEP_MIN_NV:
+            dense = sum(sweep.values())
+            sweep = {"transforms": 2 * ndof, "cell inverses": nv * m ** 2, "lifts": nv * m,
+                     "powers": scan * nv}
+            sweep["dense fallback"] = dense - sum(sweep.values())
         arrays.update({
             "weights": 2 * (steps + 1),  # with their partial sums
-            "operators": 6 * ndof, "cell block": 2 * m ** 2 * ndof, "lift": m * ndof,
-            "powers": (n - 1).bit_length() * ndof,
+            "operators": 6 * ndof, **sweep,
             "source factors": terms * ndof, "amplitudes": terms * (steps + 1),
             "near weights": HISTORY_BLOCK * HISTORY_WINDOW,
             "group buffer": _group_rows(ndof) * ndof,
@@ -614,8 +785,8 @@ def run(problem, n, k, tau, theta=1.0):
 
     Returns the full trajectory.  T = 0 yields just the projected initial
     state.  The mesh must place a cell boundary on every discontinuity line
-    of the problem.  The step system is set up, its x-cell block inverted
-    and each source factor projected exactly once, and each amplitude a_k is
+    of the problem.  The step system's sweep is set up and each source
+    factor projected exactly once, and each amplitude a_k is
     called once, on the array of the step times t_1 .. t_steps; the load of
     step n is then sum_k a_k(t_n) P_k.  Initial data, source factors or
     amplitudes whose values are not finite, or do not broadcast to the points

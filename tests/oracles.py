@@ -428,8 +428,9 @@ def splu_sweep(system, rhs):
     the assembled step matrix, come from SuperLU solves with the x-cell
     block, as the package computed them before it applied a dense inverse.
     """
-    nv, cell = system.lift_t.shape
     right = system.right
+    nv = system.v_block.shape[0]
+    cell = right.size * nv
     if system.matrix.shape[0] > cell:
         lift = system.lu.solve(-system.matrix[cell:2 * cell, :nv].toarray() / right[0])
     else:

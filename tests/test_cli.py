@@ -320,18 +320,38 @@ class TestMain:
         assert proc.returncode == 3, proc.stderr
         assert "solver failure" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("theta", ["1e300", "1e308"])
+    @pytest.mark.parametrize("theta", ["1e308"])
     def test_huge_penalty_exit_three_without_warnings(self, theta, capsys):
-        # at 1e300 the residual norm would overflow, at 1e308 theta * penalty does
+        # at 1e308 theta * penalty overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["solve", "--N", "4", "--theta", theta]) == 3
         err = capsys.readouterr().err
-        ratio = re.search(r"residual (\S+) of the load norm", err)
+        ratio = re.search(r"backward error (\S+) exceeds", err)
         if ratio is None:
             assert "v-block" in err, err
         else:
             assert math.isfinite(float(ratio.group(1))), err
+
+    def test_huge_penalty_solved_without_warnings(self, capsys):
+        # at 1e300 the residual's norm would overflow unscaled; the solve is
+        # backward stable, so it passes the check, and the output is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--N", "4", "--theta", "1e300"]) == 0
+        values = [float(line.rsplit(",", 1)[1])
+                  for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(values) == 4 * 4 * 2 * 2 and all(map(math.isfinite, values))
+
+    @pytest.mark.parametrize("n, k", [
+        (4, 30), (16, 12), (64, 5), (128, 3), (256, 2), (128, 2), (256, 1),
+    ])
+    def test_fine_or_high_order_solve_exit_zero(self, n, k, capsys):
+        # ||S|| reaches 1e7 and more here: a backward-stable solve once
+        # failed a residual check relative to the load alone
+        argv = ["solve", "--problem", "ex2", "--tau", "0.02", "--T", "0.04",
+                "--N", str(n), "--k", str(k)]
+        assert main(argv) == 0, capsys.readouterr().err
 
     def test_runtime_precondition_exit_four(self, capsys):
         # a 3-cell mesh misses the jump line of ex1c at x = 0.5
@@ -512,8 +532,9 @@ class TestMain:
         assert "exact solution" in capsys.readouterr().err
 
     def test_highest_degree_runs(self, capsys):
-        assert main(["solve", "--k", "30", "--N", "1", "--tau", "0.5"]) == 0
-        assert capsys.readouterr().out.startswith("i,j,mode_a,mode_b")
+        for n in ("1", "4"):
+            assert main(["solve", "--k", "30", "--N", n, "--tau", "0.5"]) == 0
+            assert capsys.readouterr().out.startswith("i,j,mode_a,mode_b")
 
     def test_degree_above_quadrature_limit_exit_two(self, capsys):
         assert main(["solve", "--k", "31", "--N", "1", "--tau", "0.5"]) == 2

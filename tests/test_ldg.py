@@ -36,9 +36,14 @@ from fkramers import (
 from fkramers.cli import TEMPORAL_ALPHAS
 from fkramers.cq import soe_rule
 from fkramers.ldg import (
+    EIGEN_SWEEP_MIN_NV,
     HISTORY_BLOCK,
     HISTORY_WINDOW,
+    DenseSweepSystem,
+    EigenSweepSystem,
+    _dense_system,
     _doubling_powers,
+    _eigen_system,
     _one_d_operators,
     _reference_blocks,
     _run_arrays,
@@ -359,8 +364,9 @@ class TestGroupSolve:
     @pytest.mark.parametrize("n", [1, 2, 16])
     def test_perturbed_row_is_named(self, n, k, g):
         # the middle row's sweep is off by 1e-8, a later one's by 3e-8: the
-        # message names the middle row's ratio, computed from the assembled
-        # matrix; the rows before it are exact, so its right-hand side is too
+        # message names the middle row's backward error, computed from the
+        # assembled matrix; the rows before it are exact, so its right-hand
+        # side is too
         system, coupling, rhs = self._group(n, k, g)
         ref, eff = self._loop(system, coupling, rhs)
         mid = g // 2
@@ -374,8 +380,9 @@ class TestGroupSolve:
 
         system._sweep = perturbed
         x = ref[mid] * (1.0 + 1e-8)
-        ratio = np.linalg.norm(system.matrix @ x - eff[mid]) / np.linalg.norm(eff[mid])
-        with pytest.raises(SolverFailure, match="residual %.3e of the load" % ratio):
+        ratio = np.linalg.norm(system.matrix @ x - eff[mid]) / (
+            system.norm_bound * np.linalg.norm(x) + np.linalg.norm(eff[mid]))
+        with pytest.raises(SolverFailure, match="backward error %.3e exceeds" % ratio):
             system.solve(rhs, coupling, np.empty_like(rhs))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -394,6 +401,19 @@ class TestGroupSolve:
 
 #: every order at which a built-in problem's temporal table is computed
 TABLE_ALPHAS = sorted({alpha for alphas in TEMPORAL_ALPHAS.values() for alpha in alphas})
+
+#: Relative error allowed between the eigen sweep and the sparse LU sweep:
+#: the largest measured over that test's grid was 3.5e-12 (the dense
+#: sweep's 4.6e-13)
+EIGEN_SWEEP_RTOL = 5e-11
+
+#: How far the norm bound of a step system may lie above its 2-norm; the
+#: largest ratio measured over that test's grid was 1.67
+NORM_BOUND_FACTOR = 2.0
+
+#: Bytes the eigen sweep's set-up may allocate at N = 64, k = 2, with the
+#: 1D factors; 2.30 MiB measured
+EIGEN_SETUP_PEAK = 3 * 2 ** 20
 
 
 class TestBlockSweep:
@@ -425,23 +445,61 @@ class TestBlockSweep:
     def test_dense_sweep_matches_splu_sweep(self, k, n, theta):
         # the dense inverse of the x-cell block against its sparse LU, over
         # leading weights from far below to far above the spatial operator
+        self._check_sweep(_dense_system, k, n, theta, 1e-12)
+
+    @pytest.mark.parametrize("theta", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_eigen_sweep_matches_splu_sweep(self, k, n, theta):
+        # the sweep in the eigenbasis of the v-factor, built at every size,
+        # against the same sparse LU; its two changes of basis round more
+        self._check_sweep(_eigen_system, k, n, theta, EIGEN_SWEEP_RTOL)
+
+    @staticmethod
+    def _check_sweep(make, k, n, theta, rtol):
         basis = Basis(k)
         factors = _step_factors(build_mesh(n), basis, theta)
         rhs = np.random.default_rng(n * 10 + k).standard_normal(factors[0].shape[0] ** 2)
         d0s = [1e-3, 1.0, 3.7, 1e4] + [cq_weights(a, 0.01, 1).d[0] for a in TABLE_ALPHAS]
         for d0 in d0s:
-            system = assemble_system(factors, d0, basis)
+            system = make(factors, d0, basis)
             ref = splu_sweep(system, rhs)
             got = np.empty_like(rhs)
             system._sweep(rhs, got)
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), d0
+            assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref), d0
+
+    @pytest.mark.parametrize("n, k, kind", [
+        (1, 1, DenseSweepSystem), (8, 1, DenseSweepSystem), (16, 1, DenseSweepSystem),
+        (30, 1, DenseSweepSystem), (20, 2, DenseSweepSystem), (15, 3, DenseSweepSystem),
+        (12, 4, DenseSweepSystem), (64, 2, EigenSweepSystem), (32, 2, EigenSweepSystem),
+        (96, 1, EigenSweepSystem), (4, 30, EigenSweepSystem),
+    ])
+    def test_sweep_is_chosen_by_size(self, n, k, kind):
+        # every table system (nv <= 60) keeps the dense sweep; from
+        # EIGEN_SWEEP_MIN_NV v-unknowns on the eigen sweep is set up
+        assert (n * (k + 1) >= EIGEN_SWEEP_MIN_NV) == (kind is EigenSweepSystem)
+        assert type(build_system(build_mesh(n), Basis(k), 3.7, 1.0)) is kind
+
+    def test_ill_conditioned_eigenvectors_fall_back_to_dense(self, monkeypatch):
+        monkeypatch.setattr("fkramers.ldg.EIGEN_SWEEP_MAX_COND", 1.0)
+        assert _eigen_system(_step_factors(build_mesh(32), Basis(2), 1.0), 3.7, Basis(2)) is None
+        assert type(build_system(build_mesh(32), Basis(2), 3.7, 1.0)) is DenseSweepSystem
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (3, 2), (4, 1), (8, 2), (5, 3)])
+    def test_norm_bound_is_close_above_the_norm(self, n, k, theta):
+        # d0 + beta(G) beta(V) + beta(B) bounds ||S||_2 from above, and not by much
+        for d0 in (1e-3, 1.0, 3.7, 1e4):
+            system = build_system(build_mesh(n), Basis(k), d0, theta)
+            norm = np.linalg.norm(system.matrix.toarray(), 2)
+            assert norm <= system.norm_bound <= NORM_BOUND_FACTOR * norm, d0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
     def test_scan_matches_trace_loop(self, n):
         # the doubling scan against the cell-by-cell recurrence of the sparse
         # sweep, on the traces and trace map of a real system
         basis = Basis(2)
-        system = build_system(build_mesh(n), basis, 3.7, 1.0)
+        system = _dense_system(_step_factors(build_mesh(n), basis, 1.0), 3.7, basis)
         nv, cell = system.lift_t.shape
         right = system.right
         transfer = (right @ system.lift_t.T.reshape(right.size, -1)).reshape(nv, nv)
@@ -453,16 +511,22 @@ class TestBlockSweep:
         assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 70), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
-    def test_scan_matches_loop_property(self, n, nv, seed):
+    @given(st.integers(1, 70), st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_scan_matches_loop_property(self, n, nv, seed, diagonal):
         # any trace map of norm at most 0.9, at every length, powers of two
-        # or not
+        # or not; a diagonal one, as the eigen sweep has, given as a vector
         rng = np.random.default_rng(seed)
         transfer = rng.standard_normal((nv, nv))
+        if diagonal:
+            transfer = np.diag(np.diag(transfer))
         transfer *= rng.uniform(0.0, 0.9) / max(np.linalg.norm(transfer, 2), 1e-300)
         traces = rng.standard_normal((n, nv))
         ref = trace_loop(traces.copy(), transfer)
-        got = _trace_scan(traces, _doubling_powers(transfer.T, n))
+        if diagonal:
+            got = _trace_scan(traces, _doubling_powers(np.diag(transfer), n, np.multiply),
+                              np.multiply)
+        else:
+            got = _trace_scan(traces, _doubling_powers(transfer.T, n))
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_run_path_imports_no_scipy(self, tmp_path):
@@ -495,16 +559,28 @@ class TestBlockSweep:
         assert stored <= 876_096
 
     def test_setup_peak_memory(self):
-        # at N = 64, k = 2 set-up holds the x-cell block, LAPACK's copy of it
-        # and its inverse (2.65 MB each) and no ndof-sized matrix
-        build_system(build_mesh(2), Basis(2), 3.0, 1.0)  # warm the caches
+        # at N = 64, k = 2 the dense sweep's set-up holds the x-cell block,
+        # LAPACK's copy of it and its inverse (2.65 MB each) and no
+        # ndof-sized matrix
+        assert self._setup_peak(_dense_system) <= 12 * 2 ** 20
+
+    def test_eigen_setup_peak_memory(self):
+        # the eigen sweep's set-up at the same size holds a few (nv, nv)
+        # arrays of 0.29 MB each
+        assert self._setup_peak(assemble_system) <= EIGEN_SETUP_PEAK
+
+    @staticmethod
+    def _setup_peak(make):
+        basis = Basis(2)
+        build_system(build_mesh(2), basis, 3.0, 1.0)  # warm the caches
         tracemalloc.start()
         try:
-            build_system(build_mesh(64), Basis(2), 3.0, 1.0)
+            system = make(_step_factors(build_mesh(64), basis, 1.0), 3.0, basis)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2 ** 20
+        assert type(system) is (DenseSweepSystem if make is _dense_system else EigenSweepSystem)
+        return peak
 
 
 def reference_march(system, weights, g0_vec, load_fn, steps):
@@ -698,6 +774,47 @@ class TestRunArrays:
         if steps > HISTORY_WINDOW + HISTORY_BLOCK:
             nodes = soe_rule(problem.alpha, steps, HISTORY_WINDOW)[0].size
         assert arrays.get("accumulators", 0) == nodes * ndof
+
+    @pytest.mark.parametrize("name, steps", [("ex1b", 100), ("ex2", 400)])
+    def test_entries_match_the_arrays_of_an_eigen_run(self, name, steps):
+        # at N = 48, k = 1, nv = 96: the eigen sweep's arrays, and the dense
+        # ones the fallback reserve stands for
+        problem = get_problem(name, 0.5)
+        basis = Basis(1)
+        factors = _step_factors(build_mesh(48), basis, 1.0)
+        d0 = cq_weights(0.5, 1.0 / steps, steps).d[0]
+        system = assemble_system(factors, d0, basis)
+        dense = _dense_system(factors, d0, basis)
+        assert type(system) is EigenSweepSystem
+        arrays = _run_arrays(48, basis, steps, len(problem.source_terms))
+        assert arrays["transforms"] == system.to_eigen.size + system.from_eigen.size
+        assert arrays["cell inverses"] == system.cells.size
+        assert arrays["lifts"] == system.lifts.size
+        assert arrays["powers"] == system.powers.size
+        eigen = sum(arrays[name] for name in ("transforms", "cell inverses", "lifts", "powers"))
+        assert eigen + arrays["dense fallback"] == (
+            2 * dense.inverse_t.size + dense.lift_t.size + dense.powers.size)
+        assert arrays["levels"] == (steps + 1) * 96 ** 2
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_sum_bounds_the_peak_above_the_crossover(self, fallback, monkeypatch):
+        # ex2 at N = 64, k = 2 with 50 steps, on the eigen sweep and on the
+        # dense one that set-up falls back to; the eigen sweep saves its
+        # 4.7 MB of dense set-up and sweep arrays
+        if fallback:
+            monkeypatch.setattr("fkramers.ldg.EIGEN_SWEEP_MAX_COND", 1.0)
+        problem = get_problem("ex2", 0.5)
+        run(problem, 2, 2, 0.5)  # warm the caches
+        tracemalloc.start()
+        try:
+            run(problem, 64, 2, 1.0 / 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        estimate = 8 * sum(_run_arrays(64, Basis(2), 50, len(problem.source_terms)).values())
+        levels = 51 * 192 ** 2 * 8
+        assert peak <= estimate
+        assert peak - levels > 6 * 2 ** 20 if fallback else peak - levels < 4 * 2 ** 20
 
     @pytest.mark.parametrize("name, n, k, steps", [
         ("ex1b", 16, 1, 320), ("ex1b", 16, 1, 2000), ("ex1a", 16, 1, 100), ("ex2", 20, 2, 200),
