@@ -31,16 +31,12 @@ each time step is solved exactly by an x-upwind block sweep (Reed & Hill,
   1964): one eigendecomposition of M = V^{-1} (d0 I + B) turns a step into
   one product into M's eigenbasis, nv independent (k + 1) x (k + 1) cell
   solves, a scalar recurrence per eigenvalue solved by the same doubling
-  scan elementwise, and one product back.
+  scan elementwise, and one product back; set-up falls back to the dense
+  sweep when M has a complex eigenvalue or ill-conditioned eigenvectors.
 
-The eigen sweep is used from EIGEN_SWEEP_MIN_NV v-unknowns nv = N (k + 1)
-on, a crossover measured on both sweeps, where it is faster and keeps
-arrays of order nv^2 instead of (k + 1)^2 nv^2.  Below it, and whenever M
-has a complex eigenvalue or eigenvectors with a condition number above
-EIGEN_SWEEP_MAX_COND, the dense sweep is set up.  Each step's solution must
-pass a normwise backward-error check, ||S x - b|| <= SOLVE_RTOL
-(||S|| ||x|| + ||b||) with ||S|| bounded from the 1D factors, which holds
-for any backward-stable solve however large ||S|| is.
+Each step's solution must pass a normwise backward-error check,
+||S x - b|| <= SOLVE_RTOL (||S|| ||x|| + ||b||) with ||S|| bounded from the
+1D factors, which holds for any backward-stable solve however large ||S|| is.
 The step path keeps only the dense 1D factors G, V, B and the sweep's
 arrays, and uses numpy alone; scipy is imported only to build the assembled
 sparse operator on request (`assemble_spatial`, `LDGSystem.matrix` and
@@ -53,12 +49,10 @@ Time stepping (`march`) sums the convolution-quadrature history over blocks
 of HISTORY_BLOCK steps: directly, by one Toeplitz product per block, for the
 lags within HISTORY_WINDOW, and by sum-of-exponentials accumulators beyond
 it, so a run costs O(steps (HISTORY_WINDOW + nodes)) vector operations and
-keeps every level plus one accumulator per exponential.  The lags within
-a block enter in `LDGSystem.solve`, which reads the block's solved rows.
-Each block is solved in groups of consecutive steps, as many as fit
-BUFFER_BYTES: one `solve` call sweeps a group's steps one after the other
-and then checks all their residuals in one batched pass, since a step needs
-the solution of the step before it but not its residual.
+keeps every level plus one accumulator per exponential.  One `solve` call
+sweeps a group of steps and then checks their residuals in one pass.  The
+sweep tried, the far field, its chunks, the group size and the arrays that
+the memory check counts are decided once per run, by :func:`_run_plan`.
 """
 
 from __future__ import annotations
@@ -276,7 +270,7 @@ class LDGSystem:
         first row whose backward error ||S x - b|| / (norm_bound ||x|| + ||b||),
         in the 2-norm with b its right-hand side, exceeds SOLVE_RTOL raises
         SolverFailure; the rows after it were computed from its solution.
-        `rhs` is the residual's buffer and so is overwritten.
+        `rhs` is overwritten by the right-hand sides b.
         """
         p = out.shape[0] - rhs.shape[0]
         lags = np.ascontiguousarray(coupling[::-1])  # d_{p+g-1} .. d_1; a reversed view is slow
@@ -287,10 +281,8 @@ class LDGSystem:
                 if r:
                     rhs[r - p] -= lags[lags.size - r:] @ out[:r]
                 self._sweep(rhs[r - p], out[r])
-            load, e_load = _scaled_row_norms(rhs)
-            solution, e_x = _scaled_row_norms(out[p:])
-            self._residuals(out[p:], rhs)
-            resid, e_resid = _scaled_row_norms(rhs)
+            (load, solution, resid), (e_load, e_x, e_resid) = _scaled_row_norms(
+                rhs, out[p:], self._residuals(out[p:], rhs))
             # each norm is norms * 2**e; the scale norm_bound ||x|| + ||b|| is
             # taken in units of 2**e_resid, and a zero one has a zero residual
             bound, e_bound = math.frexp(self.norm_bound)
@@ -310,10 +302,10 @@ class LDGSystem:
         raise NotImplementedError
 
     def _residuals(self, x, rhs):
-        """Overwrite each row rhs_r by the residual M x_r - rhs_r.
+        """The residuals M x_r - rhs_r of the rows, as a new (g, ndof) array.
 
         M x is d0 X + G (X V^T) + X B^T on each row's (nv, nv) view X; at
-        most two temporaries of the group's size exist at a time.
+        most two arrays of the group's size exist at a time, the result one.
         """
         g, nv = x.shape[0], self.v_block.shape[0]
         u = x.reshape(g * nv, nv)
@@ -323,7 +315,8 @@ class LDGSystem:
         resid += t.reshape(g, nv, nv)
         np.multiply(u, self.d0, out=t)
         resid += t.reshape(g, nv, nv)
-        np.subtract(resid.reshape(g, -1), rhs, out=rhs)
+        resid = resid.reshape(g, -1)
+        return np.subtract(resid, rhs, out=resid)
 
 
 @dataclass(eq=False)
@@ -396,21 +389,24 @@ _SAFE_SQUARES = (2.0 ** -900, np.finfo(float).max)
 _TINY = np.finfo(float).tiny
 
 
-def _scaled_row_norms(rows):
-    """The 2-norms of the rows of `rows` as (norms, e), each norm being norms_r * 2**e_r.
+def _scaled_row_norms(*arrays):
+    """The 2-norms of the rows of each (g, n) array as (norms, e), that of row
+    r of arrays[s] being norms[s, r] * 2**e[s][r].
 
-    When every row's sum of squares is safe, e is 0.  Otherwise each row is
-    scaled by 2**-e_r, with 2**e_r the power of two just above its largest
-    entry: every entry is then below 1, so no norm overflows, and the
-    scaling is exact, so a ratio of two norms is that of the unscaled ones
-    times a power of two.
+    The sums of squares of all rows are tested once: when every one is safe,
+    each e[s] is 0.  Otherwise each row is scaled by 2**-e, with 2**e the
+    power of two just above its largest entry: every entry is then below 1,
+    so no norm overflows, and the scaling is exact, so a ratio of two norms
+    is that of the unscaled ones times a power of two.
     """
-    squares = np.einsum("ij,ij->i", rows, rows)
+    norms = np.empty((len(arrays), arrays[0].shape[0]))
+    for row, rows in zip(norms, arrays):
+        np.einsum("ij,ij->i", rows, rows, out=row)
     lo, hi = _SAFE_SQUARES
-    if lo <= squares.min() and squares.max() <= hi:  # false for a NaN
-        return np.sqrt(squares), 0
-    e = np.frexp(np.abs(rows).max(axis=1))[1]
-    return np.linalg.norm(np.ldexp(rows, -e[:, None]), axis=1), e
+    if lo <= norms.min() and norms.max() <= hi:  # false for a NaN
+        return np.sqrt(norms, out=norms), (0,) * len(arrays)
+    e = [np.frexp(np.abs(rows).max(axis=1))[1] for rows in arrays]
+    return [np.linalg.norm(np.ldexp(rows, -es[:, None]), axis=1) for rows, es in zip(arrays, e)], e
 
 
 def _doubling_powers(transfer_t, n, product=np.matmul):
@@ -475,15 +471,13 @@ def assemble_system(factors, d0, basis):
     """Set up the block sweep for d0 * I + spatial once for all time steps.
 
     `factors` is the triple (grad_x, vmass, v_block) of dense 1D factors of
-    the spatial operator kron(grad_x, vmass) + kron(I, v_block).  From
-    EIGEN_SWEEP_MIN_NV v-unknowns on, the eigen sweep is tried
-    (:func:`_eigen_system`); below, or when M = V^{-1} (d0 I + B) has a
-    complex spectrum or ill-conditioned eigenvectors, the dense one
+    the spatial operator kron(grad_x, vmass) + kron(I, v_block).  Where the
+    run's plan says so, the eigen sweep is tried (:func:`_eigen_system`);
+    elsewhere, or when it does not apply, the dense one
     (:func:`_dense_system`) is set up.
     """
-    system = None
-    if factors[2].shape[0] >= EIGEN_SWEEP_MIN_NV:
-        system = _eigen_system(factors, d0, basis)
+    eigen = _run_plan(factors[2].shape[0], basis.nmodes).eigen
+    system = _eigen_system(factors, d0, basis) if eigen else None
     return system if system is not None else _dense_system(factors, d0, basis)
 
 
@@ -621,9 +615,8 @@ def _integral_steps(t_final, tau):
 HISTORY_BLOCK = 16
 
 #: Lags up to HISTORY_WINDOW are summed directly; longer ones come from the
-#: sum-of-exponentials accumulators.  A run of at most HISTORY_WINDOW +
-#: HISTORY_BLOCK steps, every table run included, never reaches them.  A
-#: multiple of HISTORY_BLOCK, so the accumulators advance a whole block.
+#: sum-of-exponentials accumulators, which no table run reaches.  A multiple
+#: of HISTORY_BLOCK, so the accumulators advance a whole block.
 HISTORY_WINDOW = 320
 
 #: Bytes allowed for a group's buffer of right-hand sides, and per temporary
@@ -631,30 +624,41 @@ HISTORY_WINDOW = 320
 BUFFER_BYTES = 1 << 16
 
 
-def _group_rows(ndof):
-    """Steps per LDGSystem.solve call: as many as fit BUFFER_BYTES, 1 to HISTORY_BLOCK."""
-    return max(1, min(HISTORY_BLOCK, BUFFER_BYTES // (8 * ndof)))
+@dataclass(frozen=True, eq=False)
+class _RunPlan:
+    """The shape of one run, as :func:`_run_plan` decides it."""
+
+    eigen: bool  # set-up tries the eigen sweep
+    far: bool  # the sum-of-exponentials far field runs
+    width: int  # columns per chunk of the far field; 0 without one
+    rows: int  # steps per LDGSystem.solve call
+    arrays: dict  # the run's arrays by name, each with its size in doubles
 
 
-def _run_arrays(n, basis, steps, terms=0):
-    """The arrays of a run on an n x n mesh by name, each with its size in doubles.
+def _run_plan(nv, nmodes, steps=0, alpha=1.0, terms=0):
+    """The plan of a run of `steps` steps of order `alpha` with nv = N (k + 1)
+    v-unknowns, nmodes = k + 1 and `terms` source terms.
 
-    The sampled data is the initial data, or a source factor, at the points
-    of its projection; the operators are the five 1D ones and the v-block.
-    Below EIGEN_SWEEP_MIN_NV v-unknowns the sweep's arrays are the dense
-    sweep's: the x-cell block with its inverse, the lift and the powers.
-    From there on they are the eigen sweep's, and "dense fallback" reserves
-    the difference to the dense sweep's, which set-up builds instead when
-    the eigen sweep does not apply, so the sum bounds either.  The
-    accumulators, one level per node of `soe_rule`, are counted as at
-    alpha = 1, where the rule has the most nodes.
+    A group's right-hand sides and each far-field chunk's temporaries fit
+    BUFFER_BYTES.  Of the arrays, the sampled data is g0 or a source factor
+    at its projection's points; the operators are the five 1D ones and the
+    v-block; the eigen sweep's "dense fallback" reserves the difference to
+    the dense sweep's, which set-up builds if the eigen sweep does not
+    apply; the accumulators, one level per node of `soe_rule`, are counted
+    at alpha = 1, where the rule has the most nodes.
     """
-    m, ndof = basis.nmodes, (n * basis.nmodes) ** 2
-    nv, scan = n * m, (n - 1).bit_length()
+    n, m, ndof = nv // nmodes, nmodes, nv * nv
+    eigen = nv >= EIGEN_SWEEP_MIN_NV
+    past_window = steps > HISTORY_WINDOW + HISTORY_BLOCK
+    far = past_window and alpha < 1.0
+    nodes = soe_node_count(alpha, steps, HISTORY_WINDOW) if far else 0
+    width = max(1, BUFFER_BYTES // (8 * max(nodes, HISTORY_BLOCK))) if far else 0
+    rows = max(1, min(HISTORY_BLOCK, BUFFER_BYTES // (8 * ndof)))
+    scan = (n - 1).bit_length()
     arrays = {"sampled data": (n * (m + 1)) ** 2, "levels": (steps + 1) * ndof}
     if steps:
         sweep = {"cell block": 2 * m ** 2 * ndof, "lift": m * ndof, "powers": scan * ndof}
-        if nv >= EIGEN_SWEEP_MIN_NV:
+        if eigen:
             dense = sum(sweep.values())
             sweep = {"transforms": 2 * ndof, "cell inverses": nv * m ** 2, "lifts": nv * m,
                      "powers": scan * nv}
@@ -663,12 +667,17 @@ def _run_arrays(n, basis, steps, terms=0):
             "weights": 2 * (steps + 1),  # with their partial sums
             "operators": 6 * ndof, **sweep,
             "source factors": terms * ndof, "amplitudes": terms * (steps + 1),
-            "near weights": HISTORY_BLOCK * HISTORY_WINDOW,
-            "group buffer": _group_rows(ndof) * ndof,
+            "near weights": HISTORY_BLOCK * HISTORY_WINDOW, "group buffer": rows * ndof,
         })
-    if steps > HISTORY_WINDOW + HISTORY_BLOCK:
+    if past_window:
         arrays["accumulators"] = soe_node_count(1.0, steps, HISTORY_WINDOW) * ndof
-    return arrays
+    return _RunPlan(eigen, far, width, rows, arrays)
+
+
+def _run_arrays(n, basis, steps, terms=0):
+    """The arrays of a run on an n x n mesh by name, each with its size in
+    doubles, as its plan counts them (:func:`_run_plan`)."""
+    return _run_plan(n * basis.nmodes, basis.nmodes, steps, terms=terms).arrays
 
 
 def _require_run_memory(n, basis, steps, terms=0):
@@ -688,12 +697,10 @@ def _require_run_memory(n, basis, steps, terms=0):
 def march(system, weights, g0_vec, source):
     """Run the stepping loop on raw vectors; returns all levels, shape (steps+1, ndof).
 
-    The run has as many steps as `weights`, steps = weights.steps.
-
-    `source` is None when source-free, else a pair (amplitudes, factors):
-    the (steps+1, K) array amplitudes[n, k] = a_k(t_n), whose row 0 is not
-    read, and the (K, ndof) raveled projections P_k, so the load of step n is
-    amplitudes[n] @ factors.
+    The run has as many steps as `weights`.  `source` is None when
+    source-free, else a pair (amplitudes, factors): the (steps+1, K) array
+    amplitudes[n, k] = a_k(t_n), whose row 0 is not read, and the (K, ndof)
+    raveled projections P_k, so the load of step n is amplitudes[n] @ factors.
 
     The history sum -sum_{j=1}^{n-1} d_j g^{n-j} is taken over blocks of
     HISTORY_BLOCK steps.  Before a block is solved, its rows of the returned
@@ -702,45 +709,40 @@ def march(system, weights, g0_vec, source):
 
     - lags up to HISTORY_WINDOW (plus the block's offset) from one Toeplitz
       GEMM of the weights with the stored levels;
-    - longer lags from the sum-of-exponentials rule d_j ~ sum_l c_l e^{-j x_l}
-      of :func:`fkramers.cq.soe_rule`, as in fast oblivious convolution
+    - longer lags, if the run's plan (:func:`_run_plan`) has a far field,
+      from the sum-of-exponentials rule d_j ~ sum_l c_l e^{-j x_l} of
+      :func:`fkramers.cq.soe_rule`, as in fast oblivious convolution
       quadrature (Schaedle, Lopez-Fernandez & Lubich, SISC 28, 2006): one
       accumulator row per node holds sum_i e^{-(p-i) x_l} g^i over the levels
       up to p = lo - HISTORY_WINDOW - 1 for the block starting at lo, is
       advanced by one GEMM per block and read out by another.
 
-    A block is then solved in groups of consecutive steps whose right-hand
-    sides fit BUFFER_BYTES (:func:`_group_rows`), one LDGSystem.solve call
-    per group.  A group's buffer receives the partial-sum term, the
-    accumulated history and the loads (one product of the group's amplitudes
-    with the factors); the solve, handed the block's rows up to the group's
-    end, adds the lags from all earlier rows of the block step by step and
-    writes the solutions into the group's rows.  At alpha = 1 the weights
-    vanish beyond lag 1, so no accumulator is kept.  The arrays kept are
-    those of :func:`_run_arrays`, plus temporaries of at most BUFFER_BYTES
-    in the far field and of a group's size in its solve.
+    A block is then solved in groups of the plan's size, one LDGSystem.solve
+    call each: a group's buffer receives the partial-sum term, the history
+    and the loads, and the solve adds the lags from the block's earlier rows
+    step by step.  The arrays kept are the plan's, besides temporaries of a
+    far-field chunk's and of a group's size.
     """
     d, s, steps = weights.d, weights.partial_sums, weights.steps
+    plan = _run_plan(system.v_block.shape[0], system.right.size, steps, weights.alpha,
+                     0 if source is None else len(source[1]))
     levels = np.zeros((steps + 1, g0_vec.size))
     levels[0] = g0_vec
-    far = None
-    if weights.alpha < 1.0 and steps > HISTORY_WINDOW + HISTORY_BLOCK:
-        far = _FarField(weights, g0_vec.size)
+    far = _FarField(weights, g0_vec.size) if plan.far else None
     # near[r, c] = d[W + r - c], the weight from column c of a window to row r
     near = d[np.minimum(np.subtract.outer(np.arange(HISTORY_BLOCK), np.arange(HISTORY_WINDOW))
                         + HISTORY_WINDOW, steps)]
     amplitudes, factors = (None, None) if source is None else source
-    rows = _group_rows(g0_vec.size)
-    rhs = np.empty((min(rows, steps), g0_vec.size))
+    rhs = np.empty((min(plan.rows, steps), g0_vec.size))
     for lo in range(1, steps + 1, HISTORY_BLOCK):
         hi = min(lo + HISTORY_BLOCK, steps + 1)
         first = max(1, lo - HISTORY_WINDOW)
         if lo > first:
             np.matmul(near[:hi - lo, first - lo:], levels[first:lo], out=levels[lo:hi])
         if far is not None:
-            far.add(levels, lo, hi)
-        for glo in range(lo, hi, rows):
-            ghi = min(glo + rows, hi)
+            far.add(levels, lo, hi, plan.width)
+        for glo in range(lo, hi, plan.rows):
+            ghi = min(glo + plan.rows, hi)
             group = rhs[:ghi - glo]
             np.multiply.outer(s[glo - 1:ghi - 1], g0_vec, out=group)
             group -= levels[glo:ghi]
@@ -751,8 +753,7 @@ def march(system, weights, g0_vec, source):
 
 
 class _FarField:
-    """Sum-of-exponentials accumulators for the lags beyond HISTORY_WINDOW,
-    the "accumulators" of :func:`_run_arrays`."""
+    """A plan's "accumulators": sums of exponentials for the lags beyond HISTORY_WINDOW."""
 
     def __init__(self, weights, ndof):
         x, c = soe_rule(weights.alpha, weights.steps, HISTORY_WINDOW)
@@ -763,18 +764,17 @@ class _FarField:
         # read[r, l]: accumulator l's share of row lo + r, lag lo + r - p = W + 1 + r
         self.read = (weights.d[0] * c) * np.exp(-np.outer(HISTORY_WINDOW + 1 + r, x))
         self.acc = np.zeros((x.size, ndof))
-        self.width = max(1, BUFFER_BYTES // (8 * max(x.size, HISTORY_BLOCK)))
 
-    def add(self, levels, lo, hi):
-        """Advance the accumulators to p = lo - W - 1, then add them to rows lo .. hi-1."""
+    def add(self, levels, lo, hi, width):
+        """Advance the accumulators to p = lo - W - 1, add them to rows lo .. hi-1."""
         p = lo - HISTORY_WINDOW - 1
         if p < 1:
             return
         entering = levels[p - HISTORY_BLOCK + 1:p + 1]
         read = self.read[:hi - lo]
         self.acc *= self.decay[:, None]
-        for c0 in range(0, self.acc.shape[1], self.width):
-            cols = slice(c0, c0 + self.width)
+        for c0 in range(0, self.acc.shape[1], width):
+            cols = slice(c0, c0 + width)
             acc = self.acc[:, cols]
             acc += self.enter @ entering[:, cols]
             levels[lo:hi, cols] += read @ acc
@@ -786,11 +786,11 @@ def run(problem, n, k, tau, theta=1.0):
     Returns the full trajectory.  T = 0 yields just the projected initial
     state.  The mesh must place a cell boundary on every discontinuity line
     of the problem.  The step system's sweep is set up and each source
-    factor projected exactly once, and each amplitude a_k is
-    called once, on the array of the step times t_1 .. t_steps; the load of
-    step n is then sum_k a_k(t_n) P_k.  Initial data, source factors or
-    amplitudes whose values are not finite, or do not broadcast to the points
-    they are sampled at, raise PreconditionError.
+    factor projected exactly once, and each amplitude a_k is called once, on
+    the array of the step times t_1 .. t_steps; the load of step n is then
+    sum_k a_k(t_n) P_k.  Initial data, source factors or amplitudes whose
+    values are not finite, or do not broadcast to the points they are
+    sampled at, raise PreconditionError.
     """
     tau = _positive_finite(tau, "time step")
     theta = _positive_finite(theta, "penalty parameter")

@@ -14,10 +14,12 @@ discrete gradients that hand-derived matrices are checked against, and the
 block sweep with a sparse LU of the x-cell block and a cell-by-cell trace
 recurrence that the package used before it applied a dense inverse and a
 doubling scan.  Last, the memory estimate of a run as one formula, as the
-package wrote it before it named each array, the nodal values of a field
-filled cell by cell, as the package did before it filled them by index, and
-the one-sided projections solved from their defining moment and endpoint
-conditions, as the package did before it wrote them in closed form.
+package wrote it before it named each array, the four decisions on a
+run's shape as the package made them before one plan held them, the nodal
+values of a field filled cell by cell, as the package did before it filled
+them by index, and the one-sided projections solved from their defining
+moment and endpoint conditions, as the package did before it wrote them in
+closed form.
 """
 
 import math
@@ -25,11 +27,13 @@ from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from fkramers.cq import SOE_CUTOFF, SOE_JACOBI_POINTS, SOE_PANEL_POINTS
+from fkramers.cq import SOE_CUTOFF, SOE_JACOBI_POINTS, SOE_PANEL_POINTS, soe_rule
 from fkramers.errors import PreconditionError
 from fkramers.ldg import (
-    HISTORY_BLOCK, HISTORY_WINDOW, _group_rows, _one_d_operators, _reference_blocks,
+    BUFFER_BYTES, EIGEN_SWEEP_MIN_NV, HISTORY_BLOCK, HISTORY_WINDOW, _one_d_operators,
+    _reference_blocks,
 )
 from fkramers.mesh import legendre_table, modal_project
 from fkramers.problems import require_mesh_aligned
@@ -421,22 +425,29 @@ def assemble_gradient(mesh, basis):
     return d_x, d_v
 
 
-def splu_sweep(system, rhs):
-    """The x-upwind block sweep of an LDGSystem, solving with its sparse LU.
+def splu_sweep(factors, d0, right, rhs):
+    """The x-upwind block sweep of d0 I + kron(G, V) + kron(I, B), solving with a sparse LU.
 
-    Each y_i = A^{-1} r_i, and lift = A^{-1} K with the coupling K read off
-    the assembled step matrix, come from SuperLU solves with the x-cell
-    block, as the package computed them before it applied a dense inverse.
+    `factors` is (G, V, B) and `right` the x-mode values at the right cell
+    edge.  Only the first two x-cell block rows of the step matrix are
+    assembled, as scipy CSR: the x-cell block A, which SuperLU factors, and
+    the coupling K below it.  Each y_i = A^{-1} r_i, and lift = A^{-1} K,
+    come from SuperLU solves with A, as the package computed them before it
+    applied a dense inverse.
     """
-    right = system.right
-    nv = system.v_block.shape[0]
+    grad_x, vmass, v_block = factors
+    nv = v_block.shape[0]
     cell = right.size * nv
-    if system.matrix.shape[0] > cell:
-        lift = system.lu.solve(-system.matrix[cell:2 * cell, :nv].toarray() / right[0])
+    rows = min(2 * right.size, nv)  # G's rows of the first two x-cells
+    spatial = sp.kron(grad_x[:rows, :rows], vmass) + sp.kron(sp.identity(rows), v_block)
+    matrix = (d0 * sp.identity(spatial.shape[0]) + spatial.tocsr()).tocsr()
+    lu = spla.splu(matrix[:cell, :cell].tocsc())
+    if matrix.shape[0] > cell:
+        lift = lu.solve(-matrix[cell:, :nv].toarray() / right[0])
     else:
         lift = np.zeros((cell, nv))
     transfer = (right @ lift.reshape(right.size, -1)).reshape(nv, nv)
-    y = system.lu.solve(rhs.reshape(-1, cell).T)  # column i is y_i
+    y = lu.solve(rhs.reshape(-1, cell).T)  # column i is y_i
     traces = trace_loop((right @ y.reshape(right.size, -1)).reshape(nv, -1).T.copy(), transfer)
     y[:, 1:] += lift @ traces[:-1].T
     return y.T.ravel()
@@ -472,11 +483,36 @@ def run_doubles(n, basis, steps, terms=0):
     if steps:
         doubles += 2 * (steps + 1) + 6 * block ** 2 + 2 * (block * m) ** 2 + m * block ** 2
         doubles += (n - 1).bit_length() * block ** 2 + terms * (block ** 2 + steps + 1)
-        doubles += HISTORY_BLOCK * HISTORY_WINDOW + _group_rows(block ** 2) * block ** 2
+        doubles += HISTORY_BLOCK * HISTORY_WINDOW + group_rows(block ** 2) * block ** 2
     if steps > HISTORY_WINDOW + HISTORY_BLOCK:
         panels = math.ceil(math.log2(steps) + math.log2(SOE_CUTOFF / (HISTORY_WINDOW - 1)))
         doubles += (SOE_JACOBI_POINTS + SOE_PANEL_POINTS * panels) * block ** 2
     return doubles
+
+
+# ---------------------------------------------------------------------------
+# the shape of a run
+# ---------------------------------------------------------------------------
+
+def eigen_sweep_tried(nv):
+    """Whether set-up tries the eigen sweep, as `assemble_system` tested it."""
+    return nv >= EIGEN_SWEEP_MIN_NV
+
+
+def far_field_runs(steps, alpha):
+    """Whether the far field runs, as `march` tested it."""
+    return alpha < 1.0 and steps > HISTORY_WINDOW + HISTORY_BLOCK
+
+
+def group_rows(ndof):
+    """Steps per LDGSystem.solve call, as many as fit BUFFER_BYTES, 1 to HISTORY_BLOCK."""
+    return max(1, min(HISTORY_BLOCK, BUFFER_BYTES // (8 * ndof)))
+
+
+def chunk_width(alpha, steps):
+    """The far field's column chunk, as the far field derived it from its nodes."""
+    nodes = soe_rule(alpha, steps, HISTORY_WINDOW)[0].size
+    return max(1, BUFFER_BYTES // (8 * max(nodes, HISTORY_BLOCK)))
 
 
 # ---------------------------------------------------------------------------

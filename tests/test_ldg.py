@@ -47,6 +47,7 @@ from fkramers.ldg import (
     _one_d_operators,
     _reference_blocks,
     _run_arrays,
+    _run_plan,
     _step_factors,
     _trace_scan,
     as_coeffs,
@@ -61,6 +62,10 @@ from fkramers.mesh import gauss_rule, legendre_table, modal_project
 from fkramers.problems import load_vector
 from oracles import (
     assemble_gradient,
+    chunk_width,
+    eigen_sweep_tried,
+    far_field_runs,
+    group_rows,
     history_combination,
     kron_one_d_operators,
     load_at,
@@ -308,8 +313,7 @@ class TestSystem:
         system = build_system(build_mesh(8), Basis(2), 3.0, 2.5)
         x = np.random.default_rng(9).standard_normal((3, system.matrix.shape[0]))
         ref = (system.matrix @ x.T).T
-        got = np.zeros_like(x)
-        system._residuals(x, got)
+        got = system._residuals(x, np.zeros_like(x))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -416,6 +420,22 @@ NORM_BOUND_FACTOR = 2.0
 EIGEN_SETUP_PEAK = 3 * 2 ** 20
 
 
+@pytest.fixture(scope="module", ids=lambda case: "%d-%d-%r" % case,
+                params=[(k, n, theta) for k in (1, 2, 3) for n in (1, 2, 4, 16, 64)
+                        for theta in (1.0, 2.5)])
+def splu_references(request):
+    """(basis, factors, rhs, [(d0, ref)]) of one (k, N, theta): the sparse LU
+    sweep of one right-hand side at each leading weight, from far below to
+    far above the spatial operator, shared by both sweeps' pins."""
+    k, n, theta = request.param
+    basis = Basis(k)
+    factors = _step_factors(build_mesh(n), basis, theta)
+    rhs = np.random.default_rng(n * 10 + k).standard_normal(factors[0].shape[0] ** 2)
+    d0s = [1e-3, 1.0, 3.7, 1e4] + [cq_weights(a, 0.01, 1).d[0] for a in TABLE_ALPHAS]
+    right = _reference_blocks(basis)[3]
+    return basis, factors, rhs, [(d0, splu_sweep(factors, d0, right, rhs)) for d0 in d0s]
+
+
 class TestBlockSweep:
     @pytest.mark.parametrize("theta", [1.0, 2.5])
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
@@ -439,31 +459,21 @@ class TestBlockSweep:
         system = build_system(build_mesh(64), Basis(2), 3.0, 1.0)
         assert system.lu.L.nnz + system.lu.U.nnz <= system.matrix.nnz
 
-    @pytest.mark.parametrize("theta", [1.0, 2.5])
-    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_dense_sweep_matches_splu_sweep(self, k, n, theta):
+    def test_dense_sweep_matches_splu_sweep(self, splu_references):
         # the dense inverse of the x-cell block against its sparse LU, over
         # leading weights from far below to far above the spatial operator
-        self._check_sweep(_dense_system, k, n, theta, 1e-12)
+        self._check_sweep(_dense_system, splu_references, 1e-12)
 
-    @pytest.mark.parametrize("theta", [1.0, 2.5])
-    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_eigen_sweep_matches_splu_sweep(self, k, n, theta):
+    def test_eigen_sweep_matches_splu_sweep(self, splu_references):
         # the sweep in the eigenbasis of the v-factor, built at every size,
         # against the same sparse LU; its two changes of basis round more
-        self._check_sweep(_eigen_system, k, n, theta, EIGEN_SWEEP_RTOL)
+        self._check_sweep(_eigen_system, splu_references, EIGEN_SWEEP_RTOL)
 
     @staticmethod
-    def _check_sweep(make, k, n, theta, rtol):
-        basis = Basis(k)
-        factors = _step_factors(build_mesh(n), basis, theta)
-        rhs = np.random.default_rng(n * 10 + k).standard_normal(factors[0].shape[0] ** 2)
-        d0s = [1e-3, 1.0, 3.7, 1e4] + [cq_weights(a, 0.01, 1).d[0] for a in TABLE_ALPHAS]
-        for d0 in d0s:
+    def _check_sweep(make, references, rtol):
+        basis, factors, rhs, refs = references
+        for d0, ref in refs:
             system = make(factors, d0, basis)
-            ref = splu_sweep(system, rhs)
             got = np.empty_like(rhs)
             system._sweep(rhs, got)
             assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref), d0
@@ -832,6 +842,35 @@ class TestRunArrays:
         estimate = 8 * sum(_run_arrays(n, Basis(k), steps, len(problem.source_terms)).values())
         assert estimate >= 2 ** 20
         assert 0.9 <= estimate / peak <= 1.5
+
+
+class TestRunPlan:
+    """The plan of a run against the decisions it replaced, each made where
+    it was used: the sweep tried at set-up, the far field, its chunk width,
+    the rows of a group and the arrays of the memory check."""
+
+    # nv = 94/96 (k = 1) and 90/96/99 (k = 2) about the crossover; the last
+    # three sizes give 16, 8 and 2 rows per group, the first five one row
+    @pytest.mark.parametrize("n, k, rows", [
+        (47, 1, 1), (48, 1, 1), (30, 2, 1), (32, 2, 1), (33, 2, 1), (8, 1, 16), (16, 1, 8),
+        (20, 2, 2),
+    ])
+    def test_plan_matches_the_decisions_it_replaced(self, n, k, rows):
+        nv = n * (k + 1)
+        for steps in (0, HISTORY_WINDOW + HISTORY_BLOCK, HISTORY_WINDOW + HISTORY_BLOCK + 1, 2000):
+            for alpha in (0.05, 0.5, 0.999, 1.0):
+                for terms in (0, 2):
+                    plan = _run_plan(nv, k + 1, steps, alpha, terms)
+                    far = far_field_runs(steps, alpha)
+                    assert plan.eigen == eigen_sweep_tried(nv)
+                    assert plan.far == far
+                    assert plan.width == (chunk_width(alpha, steps) if far else 0)
+                    assert plan.rows == group_rows(nv ** 2) == rows
+                    assert sum(plan.arrays.values()) == run_doubles(n, Basis(k), steps, terms)
+                    assert ("transforms" in plan.arrays) == (steps > 0 and plan.eigen)
+        # no case here falls back, so set-up follows the plan
+        system = build_system(build_mesh(n), Basis(k), 3.7, 1.0)
+        assert type(system) is (EigenSweepSystem if plan.eigen else DenseSweepSystem)
 
 
 class TestRun:
